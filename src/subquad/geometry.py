@@ -300,13 +300,24 @@ def quadratic_constraint_matrix(displacements) -> np.ndarray:
     with ``[alpha, svec(H)]`` equals ``d_i . alpha + d_i^T H d_i / 2``.
     """
     disp = linalg.as_matrix(displacements, "displacements")
-    m, n = disp.shape
-    out = np.empty((m, n + n * (n + 1) // 2))
-    for i in range(m):
-        row = disp[i]
-        out[i, :n] = row
-        out[i, n:] = linalg.svec(np.outer(row, row) / 2.0)
-    return out
+    iu, ju, weights = linalg.svec_layout(disp.shape[1])
+    return np.hstack([disp, (disp[:, iu] * disp[:, ju] / 2.0) * weights])
+
+
+def _stacked_solve(sample_set: SampleSet, rank_tol):
+    """Min-norm solve of the interpolation constraints over
+    ``(alpha, svec(H))``, and the feasibility check it answers.
+
+    Returns ``(solution, (residual, scale))`` as in
+    :func:`feasibility_residual`, from one factorization.
+    """
+    matrix = quadratic_constraint_matrix(sample_set.displacements)
+    solution = linalg.minnorm_lstsq(matrix, sample_set.delta, rank_tol)
+    residual = float(
+        np.max(np.abs(matrix @ solution - sample_set.delta))
+    )
+    scale = max(1.0, float(np.max(np.abs(sample_set.values))))
+    return solution, (residual, scale)
 
 
 def feasibility_residual(sample_set: SampleSet,
@@ -316,13 +327,7 @@ def feasibility_residual(sample_set: SampleSet,
     Returns ``(residual, scale)`` where ``scale = max(1, max |values|)``;
     the set is considered feasible when ``residual <= tol * scale``.
     """
-    matrix = quadratic_constraint_matrix(sample_set.displacements)
-    solution, _ = linalg.minnorm_lstsq(matrix, sample_set.delta, rank_tol)
-    residual = float(
-        np.max(np.abs(matrix @ solution - sample_set.delta))
-    )
-    scale = max(1.0, float(np.max(np.abs(sample_set.values))))
-    return residual, scale
+    return _stacked_solve(sample_set, rank_tol)[1]
 
 
 def interpolation_feasible(sample_set: SampleSet,
@@ -347,6 +352,4 @@ def poised_for_quadratic(sample_set: SampleSet,
     if rank_tol is None:
         rank_tol = linalg.default_rank_tol(*matrix.shape)
     sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma[0] <= 0.0:
-        return False
-    return bool(sigma[-1] > rank_tol * sigma[0])
+    return linalg.numerical_rank(sigma, rank_tol) == sigma.size

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -147,6 +148,15 @@ def child_seed(seed: int, *path) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
+def _draw_basis(rng, n: int, d: int) -> np.ndarray:
+    """Orthonormal basis of a seeded Gaussian ``n x d`` block of rank ``d``."""
+    for _ in range(64):
+        basis, rank = linalg.orthonormal_columns(rng.standard_normal((n, d)))
+        if rank == d:
+            return basis
+    raise SpecInfeasibleError("could not draw a rank-d basis")
+
+
 def random_instance(spec: InstanceSpec):
     """Draw an oracle, sample set and frame realizing the requested shape.
 
@@ -156,30 +166,21 @@ def random_instance(spec: InstanceSpec):
     comfortable margin, so the constraints are feasible for *any* values.
     """
     rng = np.random.default_rng(spec.seed)
-    basis = None
-    for _ in range(64):
-        candidate, rank = linalg.orthonormal_columns(
-            rng.standard_normal((spec.n, spec.d))
-        )
-        if rank == spec.d:
-            basis = candidate
-            break
-    if basis is None:
-        raise SpecInfeasibleError("could not draw a rank-d basis")
+    basis = _draw_basis(rng, spec.n, spec.d)
     dhat = None
     for _ in range(256):
         candidate = rng.standard_normal((spec.m, spec.d))
         sigma = np.linalg.svd(
             quadratic_constraint_matrix(candidate), compute_uv=False
         )
-        if sigma[0] <= 0.0 or sigma[-1] <= spec.rank_floor * sigma[0]:
+        if linalg.numerical_rank(sigma, spec.rank_floor) < sigma.size:
             continue
         # Near-collinear displacement sets are feasible but force huge
         # gradients (the quadratic columns keep the constraint matrix
         # nonsingular while the directions almost coincide), drowning
         # raw value comparisons in magnitude; floor them out too.
         dirs = np.linalg.svd(candidate, compute_uv=False)
-        if dirs[-1] > spec.rank_floor * dirs[0]:
+        if linalg.numerical_rank(dirs, spec.rank_floor) == dirs.size:
             dhat = candidate
             break
     if dhat is None:
@@ -249,7 +250,12 @@ def _family_membership_gap(full, sub, frame, rng, samples=20):
     return worst
 
 
-def _trial_mn(spec, probes, probe_seed, determined=False):
+# Every trial function takes ``(spec, trial, probes, seed_of)``, where
+# ``seed_of(label)`` is the trial's child seed for that label, and returns
+# ``(gap, detail)``.
+
+
+def _trial_mn(spec, trial, probes, seed_of, determined=False):
     _, sample_set, frame = random_instance(spec)
     hatted = hat_sampleset(sample_set, frame)
     full = fit_mn(sample_set)
@@ -264,7 +270,7 @@ def _trial_mn(spec, probes, probe_seed, determined=False):
         np.linalg.norm(sub.model.H),
     )
     report = coincidence_check(
-        full.model, sub.model, frame, probes=probes, seed=probe_seed
+        full.model, sub.model, frame, probes=probes, seed=seed_of("probes")
     )
     on_gap, off_gap = _value_gaps(report)
     gap = max(g_gap, h_gap, on_gap, off_gap)
@@ -272,7 +278,7 @@ def _trial_mn(spec, probes, probe_seed, determined=False):
     return gap, detail
 
 
-def _trial_mfn(spec, probes, probe_seed, member_rng):
+def _trial_mfn(spec, trial, probes, seed_of):
     _, sample_set, frame = random_instance(spec)
     hatted = hat_sampleset(sample_set, frame)
     full = fit_mfn(sample_set)
@@ -291,9 +297,10 @@ def _trial_mfn(spec, probes, probe_seed, member_rng):
         np.linalg.norm(full.gradients.canonical - lifted.gradients.canonical),
         np.linalg.norm(sub.gradients.canonical),
     )
+    member_rng = np.random.default_rng(seed_of("members"))
     member_gap = _family_membership_gap(full, sub, frame, member_rng)
     report = coincidence_check(
-        full.model, sub.model, frame, probes=probes, seed=probe_seed
+        full.model, sub.model, frame, probes=probes, seed=seed_of("probes")
     )
     on_gap, off_gap = _value_gaps(report)
     gap = max(h_gap, g_gap, member_gap, on_gap, off_gap)
@@ -337,7 +344,11 @@ def _fixed_lfu_gap(probes, probe_seed):
     return max(gaps), "fixed worked instance"
 
 
-def _trial_lfu(spec, probes, probe_seed, member_rng, href_rng):
+def _trial_lfu(spec, trial, probes, seed_of):
+    probe_seed = seed_of("probes")
+    if trial == 0:
+        return _fixed_lfu_gap(probes, probe_seed)
+    href_rng = np.random.default_rng(seed_of("href"))
     _, sample_set, frame = random_instance(spec)
     hatted = hat_sampleset(sample_set, frame)
     n = spec.n
@@ -356,6 +367,7 @@ def _trial_lfu(spec, probes, probe_seed, member_rng, href_rng):
         np.linalg.norm(full.gradients.canonical - lifted.gradients.canonical),
         np.linalg.norm(sub.gradients.canonical),
     )
+    member_rng = np.random.default_rng(seed_of("members"))
     member_gap = _family_membership_gap(full, sub, frame, member_rng)
     report = coincidence_check(
         full.model, sub.model, frame, probes=probes, seed=probe_seed
@@ -384,41 +396,44 @@ def _trial_lfu(spec, probes, probe_seed, member_rng, href_rng):
     return gap, detail
 
 
-def _draw_direction_block(rng, d, allow_duplicate):
-    p = int(rng.integers(1, d + 2))
-    block = rng.standard_normal((d, p))
-    if allow_duplicate and p >= 2 and rng.random() < 0.5:
-        block[:, -1] = block[:, 0]
-    return block
+def _draw_direction_block(rng, d, allow_duplicate, rank_floor):
+    """Gaussian ``d x p`` direction block, ``1 <= p <= d + 1``.
+
+    With ``allow_duplicate`` the last column may repeat the first. Blocks
+    are redrawn until every singular value the solves keep (above the
+    default rank cutoff) clears ``rank_floor`` relative to the largest, so
+    a planted exact duplicate passes and a near-degenerate block does not.
+    """
+    for _ in range(256):
+        p = int(rng.integers(1, d + 2))
+        block = rng.standard_normal((d, p))
+        if allow_duplicate and p >= 2 and rng.random() < 0.5:
+            block[:, -1] = block[:, 0]
+        sigma = np.linalg.svd(block, compute_uv=False)
+        kept = linalg.numerical_rank(sigma, linalg.default_rank_tol(d, p))
+        if linalg.numerical_rank(sigma, rank_floor) == kept:
+            return block
+    raise SpecInfeasibleError("could not draw a well-conditioned block")
 
 
 def _simplex_setup(spec, shared_inner, duplicate_ok, refined=False):
     rng = np.random.default_rng(spec.seed)
-    basis = None
-    for _ in range(64):
-        candidate, rank = linalg.orthonormal_columns(
-            rng.standard_normal((spec.n, spec.d))
-        )
-        if rank == spec.d:
-            basis = candidate
-            break
-    if basis is None:
-        raise SpecInfeasibleError("could not draw a rank-d basis")
+    basis = _draw_basis(rng, spec.n, spec.d)
     x0 = rng.standard_normal(spec.n)
-    s_hat = _draw_direction_block(rng, spec.d, duplicate_ok)
+    draw_block = partial(
+        _draw_direction_block, rng, spec.d, duplicate_ok, spec.rank_floor
+    )
+    s_hat = draw_block()
     if refined:
         sub_bundle = DirectionBundle(s_hat, s_hat)
         s_full = basis @ s_hat
         full_bundle = DirectionBundle(s_full, s_full)
     elif shared_inner:
-        t_hat = _draw_direction_block(rng, spec.d, duplicate_ok)
+        t_hat = draw_block()
         sub_bundle = DirectionBundle(s_hat, t_hat)
         full_bundle = DirectionBundle(basis @ s_hat, basis @ t_hat)
     else:
-        blocks = [
-            _draw_direction_block(rng, spec.d, duplicate_ok)
-            for _ in range(s_hat.shape[1])
-        ]
+        blocks = [draw_block() for _ in range(s_hat.shape[1])]
         sub_bundle = DirectionBundle(s_hat, blocks)
         full_bundle = DirectionBundle(
             basis @ s_hat, [basis @ block for block in blocks]
@@ -429,7 +444,7 @@ def _simplex_setup(spec, shared_inner, duplicate_ok, refined=False):
     return oracle, x0, frame, sub_bundle, full_bundle
 
 
-def _trial_gsg(spec, trial):
+def _trial_gsg(spec, trial, probes, seed_of):
     oracle, x0, frame, sub_bundle, full_bundle = _simplex_setup(
         spec, shared_inner=True, duplicate_ok=(trial % 3 == 0)
     )
@@ -442,7 +457,7 @@ def _trial_gsg(spec, trial):
     return gap, f"p={sub_bundle.p}"
 
 
-def _trial_gsh(spec, trial):
+def _trial_gsh(spec, trial, probes, seed_of):
     oracle, x0, frame, sub_bundle, full_bundle = _simplex_setup(
         spec, shared_inner=(trial % 2 == 0), duplicate_ok=(trial % 5 == 0)
     )
@@ -457,7 +472,7 @@ def _trial_gsh(spec, trial):
     return gap, f"p={sub_bundle.p} {shape}"
 
 
-def _trial_qgsd(spec, trial, variant, probes, probe_seed):
+def _trial_qgsd(spec, trial, probes, seed_of, variant):
     refined = variant == "refined"
     oracle, x0, frame, sub_bundle, full_bundle = _simplex_setup(
         spec,
@@ -479,7 +494,7 @@ def _trial_qgsd(spec, trial, variant, probes, probe_seed):
         np.linalg.norm(sub.model.H),
     )
     report = coincidence_check(
-        full.model, sub.model, frame, probes=probes, seed=probe_seed
+        full.model, sub.model, frame, probes=probes, seed=seed_of("probes")
     )
     on_gap, off_gap = _value_gaps(report)
     gap = max(g_gap, h_gap, on_gap, off_gap)
@@ -487,6 +502,27 @@ def _trial_qgsd(spec, trial, variant, probes, probe_seed):
         f"g={g_gap:.2e} H={h_gap:.2e} on={on_gap:.2e} off={off_gap:.2e}"
     )
     return gap, detail
+
+
+def _trial_qgsd_both(spec, trial, probes, seed_of):
+    """Both variants on the same dimensions."""
+    gap_s, detail_s = _trial_qgsd(spec, trial, probes, seed_of, "simple")
+    gap_r, detail_r = _trial_qgsd(spec, trial, probes, seed_of, "refined")
+    return max(gap_s, gap_r), f"simple[{detail_s}] refined[{detail_r}]"
+
+
+#: Suite name -> trial function; ``qgsd`` runs both variants per trial.
+_TRIALS = {
+    "mn": _trial_mn,
+    "dqi": partial(_trial_mn, determined=True),
+    "mfn": _trial_mfn,
+    "lfu": _trial_lfu,
+    "gsg": _trial_gsg,
+    "gsh": _trial_gsh,
+    "qgsd-simple": partial(_trial_qgsd, variant="simple"),
+    "qgsd-refined": partial(_trial_qgsd, variant="refined"),
+    "qgsd": _trial_qgsd_both,
+}
 
 
 def run_suite(theorem: str, trials: int,
@@ -501,67 +537,22 @@ def run_suite(theorem: str, trials: int,
     A trial fails when its worst normalized gap exceeds ``tol``.
     """
     theorem = str(theorem).lower()
-    known = set(SUITES) | {"qgsd"}
-    if theorem not in known:
+    if theorem not in _TRIALS:
         raise UnknownTheoremError(
             f"unknown suite {theorem!r}; expected one of "
-            f"{sorted(known)}"
+            f"{sorted(_TRIALS)}"
         )
+    run_trial = _TRIALS[theorem]
     records = []
     for trial in range(int(trials)):
-        dim_rng = np.random.default_rng(
-            child_seed(seed, theorem, trial, "dims")
-        )
-        determined = theorem == "dqi"
-        n, d, m = _draw_dims(dim_rng, n_range, d_range, determined)
-        fclass = _function_class(trial)
+        seed_of = partial(child_seed, seed, theorem, trial)
+        dim_rng = np.random.default_rng(seed_of("dims"))
+        n, d, m = _draw_dims(dim_rng, n_range, d_range, theorem == "dqi")
         spec = InstanceSpec(
-            n=n, d=d, m=m, function_class=fclass,
-            seed=child_seed(seed, theorem, trial, "instance"),
+            n=n, d=d, m=m, function_class=_function_class(trial),
+            seed=seed_of("instance"),
         )
-        probe_seed = child_seed(seed, theorem, trial, "probes")
-        member_rng = np.random.default_rng(
-            child_seed(seed, theorem, trial, "members")
-        )
-        if theorem == "mn":
-            gap, detail = _trial_mn(spec, probes, probe_seed)
-        elif theorem == "dqi":
-            gap, detail = _trial_mn(
-                spec, probes, probe_seed, determined=True
-            )
-        elif theorem == "mfn":
-            gap, detail = _trial_mfn(spec, probes, probe_seed, member_rng)
-        elif theorem == "lfu":
-            href_rng = np.random.default_rng(
-                child_seed(seed, theorem, trial, "href")
-            )
-            if trial == 0:
-                gap, detail = _fixed_lfu_gap(probes, probe_seed)
-            else:
-                gap, detail = _trial_lfu(
-                    spec, probes, probe_seed, member_rng, href_rng
-                )
-        elif theorem == "gsg":
-            gap, detail = _trial_gsg(spec, trial)
-        elif theorem == "gsh":
-            gap, detail = _trial_gsh(spec, trial)
-        elif theorem == "qgsd-simple":
-            gap, detail = _trial_qgsd(
-                spec, trial, "simple", probes, probe_seed
-            )
-        elif theorem == "qgsd-refined":
-            gap, detail = _trial_qgsd(
-                spec, trial, "refined", probes, probe_seed
-            )
-        else:  # "qgsd": both variants on the same dimensions
-            gap_s, detail_s = _trial_qgsd(
-                spec, trial, "simple", probes, probe_seed
-            )
-            gap_r, detail_r = _trial_qgsd(
-                spec, trial, "refined", probes, probe_seed
-            )
-            gap = max(gap_s, gap_r)
-            detail = f"simple[{detail_s}] refined[{detail_r}]"
+        gap, detail = run_trial(spec, trial, probes, seed_of)
         records.append(TrialRecord(
             suite=theorem, trial=trial, n=spec.n, d=spec.d, m=spec.m,
             function_class=spec.function_class,
@@ -711,17 +702,14 @@ def negative_controls(seed: int = 0, trials: int = 100,
         )
 
     for trial in range(max(1, int(trials) // 5)):
-        dim_rng = np.random.default_rng(
-            child_seed(seed, "negative-mn", trial, "dims")
-        )
+        seed_of = partial(child_seed, seed, "negative-mn", trial)
+        dim_rng = np.random.default_rng(seed_of("dims"))
         n, d, m = _draw_dims(dim_rng, n_range, d_range, determined=False)
         spec = InstanceSpec(
             n=n, d=d, m=m, function_class=_function_class(trial),
-            seed=child_seed(seed, "negative-mn", trial, "instance"),
+            seed=seed_of("instance"),
         )
-        gap, detail = _trial_mn(
-            spec, probes, child_seed(seed, "negative-mn", trial, "probes")
-        )
+        gap, detail = _trial_mn(spec, trial, probes, seed_of)
         add("mn-absence", trial, spec, gap, gap <= tol, detail)
 
     failures = sum(1 for rec in records if not rec.passed)

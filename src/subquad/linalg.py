@@ -2,9 +2,12 @@
 
 Conventions: vectors are 1-D float arrays, matrices are 2-D, and a basis is
 a matrix whose *columns* are the basis vectors. Every rank decision in the
-package funnels through the same relative singular-value cutoff
-(``sigma > rank_tol * sigma_max``), with ``rank_tol`` defaulting to
-``max(shape) * machine_eps``. Outputs of the factorization routines are made
+package is made by :func:`numerical_rank`, a relative singular-value cutoff
+(``sigma > rank_tol * sigma_max``) with ``rank_tol`` defaulting to
+``max(shape) * machine_eps``. The column-space basis and the pseudoinverse
+solves share one thin, rank-truncated SVD, so no factorization builds a
+``cols x cols`` factor; only :func:`orthonormal_complement` takes a full
+SVD, of a ``d x n`` basis. Outputs of the factorization routines are made
 deterministic by a sign convention: in each returned orthonormal column the
 entry of largest magnitude (first such entry on ties) is nonnegative.
 """
@@ -77,6 +80,23 @@ def _fix_column_signs(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+def numerical_rank(sigma, rank_tol: float) -> int:
+    """Count of singular values (in decreasing order) above
+    ``rank_tol * sigma[0]``; zero for an empty or zero spectrum."""
+    if sigma.size == 0 or sigma[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+
+
+def _truncated_svd(mat: np.ndarray, rank_tol: float | None):
+    """Thin SVD truncated at the numerical rank: ``(U_r, s_r, Vt_r, r)``."""
+    if rank_tol is None:
+        rank_tol = default_rank_tol(*mat.shape)
+    left, sigma, vt = np.linalg.svd(mat, full_matrices=False)
+    rank = numerical_rank(sigma, rank_tol)
+    return left[:, :rank], sigma[:rank], vt[:rank], rank
+
+
 def orthonormal_columns(a, rank_tol: float | None = None):
     """Rank-revealing orthonormal basis of the column space of ``a``.
 
@@ -98,14 +118,8 @@ def orthonormal_columns(a, rank_tol: float | None = None):
     mat = as_matrix(a, "orthonormal_columns argument")
     if mat.shape[1] == 0:
         raise DimensionMismatchError("matrix must have at least one column")
-    if rank_tol is None:
-        rank_tol = default_rank_tol(*mat.shape)
-    left, sigma, _ = np.linalg.svd(mat, full_matrices=False)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    return _fix_column_signs(left[:, :rank]), rank
+    left, _, _, rank = _truncated_svd(mat, rank_tol)
+    return _fix_column_signs(left), rank
 
 
 def orthonormal_complement(q) -> np.ndarray:
@@ -134,49 +148,23 @@ def orthonormal_complement(q) -> np.ndarray:
     return _fix_column_signs(vt[d:, :].T)
 
 
-def minnorm_lstsq(a, b, rank_tol: float | None = None):
-    """Minimum-norm least-squares solution of ``a @ x = b``.
+def minnorm_lstsq(a, b, rank_tol: float | None = None) -> np.ndarray:
+    """Minimum-norm least-squares solution ``x`` of ``a @ x = b``.
 
-    Computes the pseudoinverse solution through a singular value
-    decomposition with explicit rank truncation; normal equations are never
-    formed.
-
-    Returns
-    -------
-    x : ndarray
-        The least-squares solution of minimum Euclidean norm.
-    nullspace : ndarray, shape (cols, cols - r)
-        Orthonormal basis of the nullspace of ``a`` at the tolerance,
-        sign-fixed for determinism.
+    The vector right-hand-side form of :func:`pinv_apply`: the
+    pseudoinverse solution through a thin SVD with explicit rank
+    truncation; normal equations are never formed. A nullspace basis, where
+    needed, is ``orthonormal_complement(orthonormal_columns(a.T)[0])``.
     """
-    mat = as_matrix(a, "minnorm_lstsq matrix")
     rhs = as_vector(b, "minnorm_lstsq right-hand side")
-    rows, cols = mat.shape
-    if rhs.shape[0] != rows:
-        raise DimensionMismatchError(
-            f"matrix has {rows} rows but right-hand side has {rhs.shape[0]}"
-        )
-    if rank_tol is None:
-        rank_tol = default_rank_tol(rows, cols)
-    left, sigma, vt = np.linalg.svd(mat, full_matrices=True)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    if rank > 0:
-        coeff = (left[:, :rank].T @ rhs) / sigma[:rank]
-        x = vt[:rank, :].T @ coeff
-    else:
-        x = np.zeros(cols)
-    nullspace = _fix_column_signs(vt[rank:, :].T)
-    return x, nullspace
+    return pinv_apply(a, rhs, rank_tol)
 
 
 def pinv_apply(a, b, rank_tol: float | None = None) -> np.ndarray:
-    """Apply the pseudoinverse of ``a`` to a vector or matrix ``b``.
+    """Apply the rank-truncated pseudoinverse of ``a`` to ``b``.
 
-    Same SVD rank truncation as :func:`minnorm_lstsq`; used where the
-    nullspace is not needed and ``b`` may have several columns.
+    ``b`` is a vector or a matrix with one right-hand side per column; the
+    result has ``a.shape[1]`` rows.
     """
     mat = as_matrix(a, "pinv_apply matrix")
     rhs = np.asarray(b, dtype=float)
@@ -186,22 +174,19 @@ def pinv_apply(a, b, rank_tol: float | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix has {mat.shape[0]} rows but operand has {rhs.shape[0]}"
         )
-    if rank_tol is None:
-        rank_tol = default_rank_tol(*mat.shape)
-    left, sigma, vt = np.linalg.svd(mat, full_matrices=False)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    if rank == 0:
-        out_shape = (mat.shape[1],) + rhs.shape[1:]
-        return np.zeros(out_shape)
-    coeff = left[:, :rank].T @ rhs
-    if coeff.ndim == 1:
-        coeff = coeff / sigma[:rank]
-    else:
-        coeff = coeff / sigma[:rank, None]
-    return vt[:rank, :].T @ coeff
+    left, sigma, vt, _ = _truncated_svd(mat, rank_tol)
+    per_row = sigma.reshape((-1,) + (1,) * (rhs.ndim - 1))
+    return vt.T @ ((left.T @ rhs) / per_row)
+
+
+def svec_layout(n: int):
+    """Index and weight layout of :func:`svec` for ``n x n`` matrices.
+
+    Returns ``(iu, ju, weights)``: the row-major upper-triangle indices and
+    the per-entry scale (1 on the diagonal, sqrt(2) off it).
+    """
+    iu, ju = np.triu_indices(n)
+    return iu, ju, np.where(iu == ju, 1.0, _SQRT2)
 
 
 def svec(h) -> np.ndarray:
@@ -215,8 +200,7 @@ def svec(h) -> np.ndarray:
     n = mat.shape[0]
     if mat.shape[1] != n:
         raise NotSquareError(f"svec needs a square matrix, got {mat.shape}")
-    iu, ju = np.triu_indices(n)
-    weights = np.where(iu == ju, 1.0, _SQRT2)
+    iu, ju, weights = svec_layout(n)
     return mat[iu, ju] * weights
 
 
@@ -229,8 +213,8 @@ def smat(v) -> np.ndarray:
         raise DimensionMismatchError(
             f"length {length} is not a triangular number"
         )
-    iu, ju = np.triu_indices(n)
-    entries = np.where(iu == ju, vec, vec / _SQRT2)
+    iu, ju, weights = svec_layout(n)
+    entries = vec / weights
     mat = np.zeros((n, n))
     mat[iu, ju] = entries
     mat[ju, iu] = entries

@@ -33,9 +33,9 @@ from .errors import (
 from .geometry import (
     FEASIBILITY_RTOL,
     SampleSet,
+    _stacked_solve,
     feasibility_residual,
     poised_for_quadratic,
-    quadratic_constraint_matrix,
 )
 
 
@@ -112,9 +112,6 @@ class GradientFamily:
         """Number of free directions in the family."""
         return self.ambiguity_basis.shape[1]
 
-    def member(self, coeffs) -> np.ndarray:
-        return member(self, coeffs)
-
 
 @dataclass(frozen=True)
 class ModelResult:
@@ -165,8 +162,9 @@ def _unique_family(g: np.ndarray) -> GradientFamily:
     return GradientFamily(g, np.zeros((g.shape[0], 0)))
 
 
-def _require_feasible(sample_set: SampleSet, rank_tol, feas_tol):
-    residual, scale = feasibility_residual(sample_set, rank_tol)
+def _require_feasible(check, feas_tol):
+    """Raise unless ``check = (residual, scale)`` is within ``feas_tol``."""
+    residual, scale = check
     if residual > feas_tol * scale:
         raise InfeasibleError(
             "no quadratic interpolates these values "
@@ -175,7 +173,12 @@ def _require_feasible(sample_set: SampleSet, rank_tol, feas_tol):
         )
 
 
-def _project_span(alpha: np.ndarray, displacements: np.ndarray, rank_tol):
+def _span_basis(displacements: np.ndarray, rank_tol) -> np.ndarray:
+    """Orthonormal basis of the span of the displacement directions."""
+    return linalg.orthonormal_columns(displacements.T, rank_tol)[0]
+
+
+def _project_span(alpha: np.ndarray, span_basis: np.ndarray):
     """Drop the component of ``alpha`` unseen by the displacements.
 
     The minimizers below all have gradients inside the span of the
@@ -183,17 +186,20 @@ def _project_span(alpha: np.ndarray, displacements: np.ndarray, rank_tol):
     without touching the constraints, shrinking the objective), but an
     ill-conditioned solve can leak one in.  Exact-arithmetic no-op.
     """
-    span_basis, _ = linalg.orthonormal_columns(displacements.T, rank_tol)
     return span_basis @ (span_basis.T @ alpha)
 
 
-def _stacked_minnorm(sample_set: SampleSet, rank_tol):
-    """Min-norm solve in (alpha, svec(H)) coordinates; returns (alpha, H)."""
-    matrix = quadratic_constraint_matrix(sample_set.displacements)
-    solution, _ = linalg.minnorm_lstsq(matrix, sample_set.delta, rank_tol)
+def _stacked_model(sample_set: SampleSet, solution: np.ndarray, rank_tol,
+                   kind: str) -> ModelResult:
+    """Model from a stacked ``(alpha, svec(H))`` solution."""
     n = sample_set.n
-    alpha = _project_span(solution[:n], sample_set.displacements, rank_tol)
-    return alpha, linalg.smat(solution[n:])
+    span_basis = _span_basis(sample_set.displacements, rank_tol)
+    alpha = _project_span(solution[:n], span_basis)
+    model = QuadraticModel(
+        sample_set.x0, sample_set.values[0], alpha,
+        linalg.smat(solution[n:]),
+    )
+    return ModelResult(model, _unique_family(alpha), kind)
 
 
 def fit_mn(sample_set: SampleSet,
@@ -203,12 +209,12 @@ def fit_mn(sample_set: SampleSet,
 
     Because the vectorization is isometric, one stacked minimum-norm
     least-squares solve yields the unique minimizer; the gradient family
-    is a single point.
+    is a single point. The same factorization answers the feasibility
+    check.
     """
-    _require_feasible(sample_set, rank_tol, feas_tol)
-    alpha, hess = _stacked_minnorm(sample_set, rank_tol)
-    model = QuadraticModel(sample_set.x0, sample_set.values[0], alpha, hess)
-    return ModelResult(model, _unique_family(alpha), "mn")
+    solution, check = _stacked_solve(sample_set, rank_tol)
+    _require_feasible(check, feas_tol)
+    return _stacked_model(sample_set, solution, rank_tol, "mn")
 
 
 def fit_dqi(sample_set: SampleSet,
@@ -223,13 +229,12 @@ def fit_dqi(sample_set: SampleSet,
             f"sample set with m={sample_set.m}, n={sample_set.n} does not "
             "determine a unique quadratic"
         )
-    alpha, hess = _stacked_minnorm(sample_set, rank_tol)
-    model = QuadraticModel(sample_set.x0, sample_set.values[0], alpha, hess)
-    return ModelResult(model, _unique_family(alpha), "dqi")
+    solution, _ = _stacked_solve(sample_set, rank_tol)
+    return _stacked_model(sample_set, solution, rank_tol, "dqi")
 
 
 def _solve_min_frobenius(displacements: np.ndarray, delta: np.ndarray,
-                         rank_tol):
+                         span_basis: np.ndarray, rank_tol):
     """Smallest-Frobenius-norm Hessian meeting the constraints.
 
     Works in multiplier form: stationarity gives ``H = sum_i mu_i d_i d_i^T``
@@ -253,17 +258,11 @@ def _solve_min_frobenius(displacements: np.ndarray, delta: np.ndarray,
     kkt_tol = rank_tol
     if kkt_tol is None:
         kkt_tol = linalg.default_rank_tol(m + n, m + n)
-    solution, _ = linalg.minnorm_lstsq(kkt, rhs, kkt_tol)
+    solution = linalg.minnorm_lstsq(kkt, rhs, kkt_tol)
     mu, alpha = solution[:m], solution[m:]
-    alpha = _project_span(alpha, displacements, rank_tol)
+    alpha = _project_span(alpha, span_basis)
     hess = (span * mu) @ span.T                 # sum_i mu_i d_i d_i^T
     return alpha, linalg.sym_part(hess)
-
-
-def _gradient_ambiguity(displacements: np.ndarray, rank_tol):
-    """Orthonormal basis of the directions unseen by the displacements."""
-    span_basis, _ = linalg.orthonormal_columns(displacements.T, rank_tol)
-    return linalg.orthonormal_complement(span_basis)
 
 
 def fit_mfn(sample_set: SampleSet,
@@ -274,12 +273,13 @@ def fit_mfn(sample_set: SampleSet,
     The Hessian is unique; the gradient is determined only up to directions
     orthogonal to every displacement, reported as the ambiguity basis.
     """
-    _require_feasible(sample_set, rank_tol, feas_tol)
+    _require_feasible(feasibility_residual(sample_set, rank_tol), feas_tol)
+    span_basis = _span_basis(sample_set.displacements, rank_tol)
     alpha, hess = _solve_min_frobenius(
-        sample_set.displacements, sample_set.delta, rank_tol
+        sample_set.displacements, sample_set.delta, span_basis, rank_tol
     )
     family = GradientFamily(
-        alpha, _gradient_ambiguity(sample_set.displacements, rank_tol)
+        alpha, linalg.orthonormal_complement(span_basis)
     )
     model = QuadraticModel(sample_set.x0, sample_set.values[0], alpha, hess)
     return ModelResult(model, family, "mfn")
@@ -315,9 +315,12 @@ def fit_lfu(sample_set: SampleSet, href,
         disp,
         np.concatenate([sample_set.values[:1], sample_set.values[1:] - shift]),
     )
-    _require_feasible(shifted, rank_tol, feas_tol)
-    alpha, update = _solve_min_frobenius(disp, shifted.delta, rank_tol)
+    _require_feasible(feasibility_residual(shifted, rank_tol), feas_tol)
+    span_basis = _span_basis(disp, rank_tol)
+    alpha, update = _solve_min_frobenius(
+        disp, shifted.delta, span_basis, rank_tol
+    )
     hess = linalg.sym_part(href + update)
-    family = GradientFamily(alpha, _gradient_ambiguity(disp, rank_tol))
+    family = GradientFamily(alpha, linalg.orthonormal_complement(span_basis))
     model = QuadraticModel(sample_set.x0, sample_set.values[0], alpha, hess)
     return ModelResult(model, family, "lfu", reference_hessian=href)

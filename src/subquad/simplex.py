@@ -4,8 +4,8 @@
 forward differences along the columns of ``S``. ``gsh`` is the generalized
 simplex Hessian: row ``i`` of its difference table is the change of the
 simplex gradient over the inner directions ``T_i`` when the base point moves
-by ``s_i``. The result is generally *nonsymmetric*; ``symmetrize`` averages
-it with its transpose on request.
+by ``s_i``. The result is generally *nonsymmetric*; ``fit_qgsd`` averages
+it with its transpose (``linalg.sym_part``) on request.
 
 ``fit_qgsd`` assembles a quadratic model from those pieces over the stencil
 
@@ -212,11 +212,6 @@ def gsh(x0, bundle: DirectionBundle, fn,
     return _gsh_from_evals(bundle, evals, rank_tol)
 
 
-def symmetrize(hessian) -> np.ndarray:
-    """Average a raw simplex Hessian with its transpose."""
-    return linalg.sym_part(hessian)
-
-
 def fit_qgsd(x0, bundle: DirectionBundle, fn,
              variant: str = "simple",
              symmetrize_hessian: bool = False,
@@ -251,7 +246,7 @@ def fit_qgsd(x0, bundle: DirectionBundle, fn,
         grad = 2.0 * grad - doubled
     hess = _gsh_from_evals(bundle, evals, rank_tol)
     if symmetrize_hessian:
-        hess = symmetrize(hess)
+        hess = linalg.sym_part(hess)
     model = QuadraticModel(evals.x0, evals.f0, grad, hess)
     family = GradientFamily(grad, np.zeros((bundle.n, 0)))
     return ModelResult(

@@ -179,6 +179,18 @@ class TestFeasibility:
             mat, [[1.0, 2.0, 0.5, np.sqrt(2.0), 2.0]], atol=1e-14
         )
 
+    def test_constraint_matrix_matches_per_row_svec(self, rng):
+        """The batched rows are bit-identical to svec of each outer
+        product, the definition they vectorize."""
+        from subquad.linalg import svec
+
+        disp = rng.standard_normal((7, 5))
+        loop = np.array([
+            np.concatenate([row, svec(np.outer(row, row) / 2.0)])
+            for row in disp
+        ])
+        np.testing.assert_array_equal(quadratic_constraint_matrix(disp), loop)
+
     def test_generic_set_is_feasible(self, square):
         assert interpolation_feasible(square)
         residual, scale = feasibility_residual(square)

@@ -94,6 +94,12 @@ class TestSuites:
         ]
         assert result.max_gap < result.tol
 
+    def test_simplex_directions_respect_rank_floor(self):
+        """Trial 4 of this seed once drew a 6x6 outer block with
+        sigma_min / sigma_max = 6.6e-5, under the generation floor, and
+        failed at the default tolerance."""
+        assert run_suite("qgsd-refined", 8, seed=620200591).passed
+
     def test_combined_qgsd_alias(self):
         result = run_suite("qgsd", 6, seed=5)
         assert result.failures == 0

@@ -142,7 +142,9 @@ class TestJointMinNorm:
         result = fit_mn(square)
         base = np.linalg.norm(result.model.g) ** 2 + np.linalg.norm(result.model.H) ** 2
         mat = quadratic_constraint_matrix(square.displacements)
-        _, nullspace = linalg.minnorm_lstsq(mat, square.delta)
+        nullspace = linalg.orthonormal_complement(
+            linalg.orthonormal_columns(mat.T)[0]
+        )
         for _ in range(20):
             coeffs = 0.5 * rng.standard_normal(nullspace.shape[1])
             bump = nullspace @ coeffs
@@ -279,7 +281,9 @@ class TestLeastChange:
         base = np.linalg.norm(result.model.H - href)
         # perturb H inside the admissible set: need d^T (dH) d = 0 for all i
         quad_rows = np.array([linalg.svec(np.outer(d, d) / 2) for d in disp])
-        _, null = linalg.minnorm_lstsq(quad_rows, np.zeros(m))
+        null = linalg.orthonormal_complement(
+            linalg.orthonormal_columns(quad_rows.T)[0]
+        )
         for _ in range(15):
             dh = linalg.smat(null @ rng.standard_normal(null.shape[1]))
             assert np.linalg.norm(result.model.H + dh - href) >= base - 1e-10
@@ -321,3 +325,49 @@ class TestLeastChange:
 def test_model_results_expose_kind(square):
     assert fit_mn(square).kind == "mn"
     assert fit_mfn(square).kind == "mfn"
+
+
+class TestLargeDimension:
+    """At ``n = 200`` the stacked system has 20300 unknowns; a fit must
+    stay thin (no ``cols x cols`` factor) and still match the subspace
+    route: detect, hat, fit in ``d = 6`` coordinates, lift."""
+
+    @pytest.fixture
+    def wide_set(self, rng):
+        n, d, m = 200, 6, 20
+        basis, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        disp = rng.standard_normal((m, d)) @ basis.T
+        x0 = rng.standard_normal(n)
+        f = lambda x: float(np.sin(x).sum() + 0.5 * x @ x)
+        values = np.array([f(x0)] + [f(x0 + row) for row in disp])
+        return SampleSet(x0, disp, values)
+
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu"])
+    def test_fit_matches_lifted_subspace_fit(self, wide_set, rng, kind):
+        from subquad.bridge import lift_lfu, lift_mfn, lift_mn
+        from subquad.geometry import detect_subspace, hat_sampleset
+
+        frame = detect_subspace(wide_set)
+        assert frame.d == 6
+        hatted = hat_sampleset(wide_set, frame)
+        if kind == "mn":
+            full = fit_mn(wide_set)
+            lifted = lift_mn(fit_mn(hatted), frame)
+        elif kind == "mfn":
+            full = fit_mfn(wide_set)
+            lifted = lift_mfn(fit_mfn(hatted), frame)
+        else:
+            href = linalg.sym_part(rng.standard_normal((200, 200)))
+            full = fit_lfu(wide_set, href)
+            href_hat = linalg.sym_part(frame.Q.T @ href @ frame.Q)
+            lifted = lift_lfu(fit_lfu(hatted, href_hat), frame, href)
+
+        disp, g, h = wide_set.displacements, full.model.g, full.model.H
+        predicted = disp @ g + 0.5 * np.einsum("ij,jk,ik->i", disp, h, disp)
+        scale = max(1.0, float(np.max(np.abs(wide_set.values))))
+        assert np.max(np.abs(predicted - wide_set.delta)) <= 1e-9 * scale
+
+        g_scale = max(1.0, float(np.linalg.norm(lifted.model.g)))
+        h_scale = max(1.0, float(np.linalg.norm(lifted.model.H)))
+        assert np.linalg.norm(g - lifted.model.g) <= 1e-8 * g_scale
+        assert np.linalg.norm(h - lifted.model.H) <= 1e-8 * h_scale

@@ -17,13 +17,13 @@ from subquad.errors import (
     VariantPreconditionError,
 )
 from subquad.geometry import FunctionOracle
+from subquad.linalg import sym_part
 from subquad.simplex import (
     DirectionBundle,
     StencilEvaluations,
     fit_qgsd,
     gsg,
     gsh,
-    symmetrize,
 )
 
 
@@ -132,7 +132,7 @@ class TestSimplexHessian:
         t = rng.standard_normal((4, 2))
         h = gsh(np.zeros(4), DirectionBundle(s, t), quad(sym, np.zeros(4)))
         assert np.max(np.abs(h - h.T)) > 1e-6
-        hs = symmetrize(h)
+        hs = sym_part(h)
         np.testing.assert_array_equal(hs, hs.T)
         np.testing.assert_allclose(hs, (h + h.T) / 2, atol=1e-15)
 
