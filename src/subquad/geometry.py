@@ -200,11 +200,11 @@ class SubspaceFrame:
             raise DimensionMismatchError(
                 f"a frame needs 1..n basis columns, got shape {basis.shape}"
             )
-        defect = basis.T @ basis - np.eye(basis.shape[1])
-        if np.linalg.norm(defect, 2) > 1e-12:
+        defect = np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]))
+        if defect > 1e-12:
             raise NotOrthonormalError(
                 "frame basis columns are not orthonormal "
-                f"(defect {np.linalg.norm(defect, 2):.3e})"
+                f"(defect {defect:.3e})"
             )
         dhat = self.dhat
         if dhat is not None:

@@ -2,7 +2,9 @@
 
 Reals are written with 17 significant digits, which pins down an IEEE
 double uniquely: reading a file back reproduces the in-memory coefficients
-bit for bit. Matrices are nested row-major lists.
+bit for bit. Matrices are nested row-major lists. Float arrays are rendered
+a row at a time, in one formatting call per row, and the bytes match
+``format_real`` applied element by element.
 """
 
 from __future__ import annotations
@@ -31,6 +33,31 @@ def format_real(value) -> str:
     return text
 
 
+def _layout(rendered: list, indent: int) -> str:
+    """Bracket rendered items: inline when every item is short and one
+    line, else one item per line."""
+    if not rendered:
+        return "[]"
+    if all(len(r) < 26 and "\n" not in r for r in rendered):
+        return "[" + ", ".join(rendered) + "]"
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    return "[\n" + ",\n".join(inner + r for r in rendered) + f"\n{pad}]"
+
+
+def _float_row(row: np.ndarray) -> str:
+    """A 1-D float64 array as ``format_real`` renders it element by
+    element, in one ``%`` call. Integral entries below ``1e17`` are the
+    ones ``.17g`` prints without a point; ``.1f`` prints the same digits
+    plus ``.0``. No entry exceeds 24 characters, so the row is inline."""
+    if not np.isfinite(row).all():
+        for value in row.tolist():
+            format_real(value)  # raises on the first non-finite entry
+    integral = (row == np.trunc(row)) & (np.abs(row) < 1e17)
+    fmt = ", ".join(np.where(integral, "%.1f", "%.17g").tolist())
+    return "[" + fmt % tuple(row.tolist()) + "]"
+
+
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with 17-significant-digit reals."""
     pad = "  " * indent
@@ -44,16 +71,13 @@ def dumps(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(obj, np.ndarray):
-        return dumps(obj.tolist(), indent)
+        if obj.ndim == 0 or not np.issubdtype(obj.dtype, np.floating):
+            return dumps(obj.tolist(), indent)
+        if obj.ndim == 1:
+            return _float_row(obj.astype(np.float64, copy=False))
+        return _layout([dumps(sub, indent + 1) for sub in obj], indent)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rendered = [dumps(val, indent + 1) for val in obj]
-        if all(len(r) < 26 and "\n" not in r for r in rendered):
-            return "[" + ", ".join(rendered) + "]"
-        return (
-            "[\n" + ",\n".join(inner + r for r in rendered) + f"\n{pad}]"
-        )
+        return _layout([dumps(val, indent + 1) for val in obj], indent)
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -88,6 +112,13 @@ def _need(doc: dict, key: str, path="document"):
     return doc[key]
 
 
+def _need_int(doc: dict, key: str, path="document") -> int:
+    value = _need(doc, key, path)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FileFormatError(f"{path}: field {key!r} must be an integer")
+    return value
+
+
 def _as_array(value, name, path="document") -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -118,7 +149,7 @@ def sampleset_to_dict(sample_set: SampleSet, config: dict | None = None):
 
 def load_sampleset(path) -> SampleSet:
     doc = read_document(path)
-    n = int(_need(doc, "n", path))
+    n = _need_int(doc, "n", path)
     x0 = _as_array(_need(doc, "x0", path), "x0", path)
     disp = _as_array(
         _need(doc, "displacements", path), "displacements", path
@@ -177,7 +208,7 @@ def load_model(path) -> ModelResult:
             f"{path}: unknown model kind {kind!r}; expected one of "
             f"{MODEL_KINDS}"
         )
-    n = int(_need(doc, "n", path))
+    n = _need_int(doc, "n", path)
     x0 = _as_array(_need(doc, "x0", path), "x0", path)
     grad = _as_array(_need(doc, "g", path), "g", path)
     hess = _as_array(_need(doc, "H", path), "H", path)
@@ -186,7 +217,7 @@ def load_model(path) -> ModelResult:
             f"{path}: inconsistent model dimensions for n={n}"
         )
     constant = _need(doc, "c", path)
-    if not isinstance(constant, (int, float)):
+    if isinstance(constant, bool) or not isinstance(constant, (int, float)):
         raise FileFormatError(f"{path}: field 'c' must be a real number")
     model = QuadraticModel(x0, float(constant), grad, hess)
     if "ambiguity_basis" in doc:
@@ -235,8 +266,8 @@ def save_frame(path, frame: SubspaceFrame,
 
 def load_frame(path) -> SubspaceFrame:
     doc = read_document(path)
-    n = int(_need(doc, "n", path))
-    d = int(_need(doc, "d", path))
+    n = _need_int(doc, "n", path)
+    d = _need_int(doc, "d", path)
     x0 = _as_array(_need(doc, "x0", path), "x0", path)
     basis = _as_array(_need(doc, "Q", path), "Q", path)
     if x0.shape != (n,) or basis.shape != (n, d):
@@ -263,7 +294,7 @@ def load_bundle(path) -> tuple[DirectionBundle, np.ndarray]:
     ``T_list``. An optional ``x0`` defaults to the origin.
     """
     doc = read_document(path)
-    n = int(_need(doc, "n", path))
+    n = _need_int(doc, "n", path)
     outer = _as_array(_need(doc, "S", path), "S", path)
     if outer.ndim != 2 or outer.shape[0] != n:
         raise FileFormatError(f"{path}: S must have {n} rows")
@@ -324,7 +355,7 @@ def load_reference_hessian(spec: str, n: int) -> np.ndarray:
             )
         return np.eye(n)
     doc = read_document(text)
-    k = int(_need(doc, "n", text))
+    k = _need_int(doc, "n", text)
     hess = _as_array(_need(doc, "H", text), "H", text)
     if hess.shape != (k, k) or k != n:
         raise FileFormatError(

@@ -27,7 +27,8 @@ EPS = float(np.finfo(float).eps)
 
 _SQRT2 = float(np.sqrt(2.0))
 
-#: Spectral-norm tolerance on ``Q.T @ Q - I`` accepted as "orthonormal".
+#: Frobenius-norm tolerance on ``Q.T @ Q - I`` accepted as "orthonormal".
+#: The Frobenius norm bounds the spectral norm from above and costs no SVD.
 ORTHONORMALITY_TOL = 1e-10
 
 
@@ -126,7 +127,7 @@ def orthonormal_complement(q) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``col(q)``.
 
     ``q`` must already have orthonormal columns (checked to
-    ``ORTHONORMALITY_TOL`` in the spectral norm). The result has
+    ``ORTHONORMALITY_TOL`` in the Frobenius norm). The result has
     ``n - d`` columns and is deterministic for a given input.
     """
     basis = as_matrix(q, "orthonormal_complement argument")
@@ -137,11 +138,10 @@ def orthonormal_complement(q) -> np.ndarray:
         )
     if d == 0:
         return np.eye(n)
-    gram_defect = basis.T @ basis - np.eye(d)
-    if np.linalg.norm(gram_defect, 2) > ORTHONORMALITY_TOL:
+    defect = np.linalg.norm(basis.T @ basis - np.eye(d))
+    if defect > ORTHONORMALITY_TOL:
         raise NotOrthonormalError(
-            "columns are not orthonormal "
-            f"(||Q.T Q - I|| = {np.linalg.norm(gram_defect, 2):.3e})"
+            f"columns are not orthonormal (||Q.T Q - I||_F = {defect:.3e})"
         )
     # Rows d..n of V.T in the full SVD of Q.T span null(Q.T) = col(Q)^perp.
     _, _, vt = np.linalg.svd(basis.T, full_matrices=True)

@@ -99,8 +99,8 @@ class GradientFamily:
                 f"gradient dimension ({canonical.shape[0]})"
             )
         if basis.shape[1]:
-            defect = basis.T @ basis - np.eye(basis.shape[1])
-            if np.linalg.norm(defect, 2) > 1e-10:
+            defect = np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]))
+            if defect > 1e-10:
                 raise DimensionMismatchError(
                     "ambiguity basis columns are not orthonormal"
                 )

@@ -1,0 +1,239 @@
+"""The JSON writer and the typed loader errors.
+
+``io.dumps`` renders float arrays a row at a time; the golden tests pin it
+byte for byte to the recursive per-element writer kept in
+``reference_writer.py``, and the round-trip properties pin the promise that
+a save/load round trip is bit-exact.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from conftest import axis_frame, unit_square_set
+from reference_writer import reference_dumps
+from subquad import io
+from subquad.bridge import lift_mfn
+from subquad.cli import main
+from subquad.errors import FileFormatError
+from subquad.geometry import SampleSet, detect_subspace, hat_sampleset
+from subquad.models import fit_mfn
+from subquad.simplex import DirectionBundle
+
+#: Reals at the edges of the writer's rules: signed zeros, integral floats
+#: on both sides of ``1e17`` (where ``.17g`` starts to use an exponent),
+#: the smallest subnormal and the extremes of the exponent range.
+EDGE_REALS = [
+    -0.0, 0.0, 1.0, -3.0, 12345.0, 2.0**53, 1e16, -1e16,
+    99999999999999984.0, 1e17, -1e17, 1.0000000000000002e17, 1e22,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+    1.7976931348623157e308, 0.5, -0.25, 0.1, 2.0 / 3.0, 4503599627370495.5,
+]
+
+
+def _real(rng):
+    pick = rng.integers(4)
+    if pick == 0:
+        return float(rng.choice(EDGE_REALS))
+    if pick == 1:
+        return float(rng.integers(-10**6, 10**6))
+    if pick == 2:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-320, 300))
+    return float(rng.standard_normal())
+
+
+def _array(rng):
+    ndim = int(rng.integers(0, 4))
+    shape = tuple(int(s) for s in rng.integers(0, 5, size=ndim))
+    if ndim and rng.random() < 0.3:
+        shape = shape[:-1] + (int(rng.integers(5, 40)),)
+    size = int(np.prod(shape))
+    kind = rng.integers(5)
+    if kind == 0:
+        return rng.integers(-1000, 1000, size=shape)
+    values = np.array([_real(rng) for _ in range(size)]).reshape(shape)
+    if kind == 1:
+        return np.clip(values, -3e38, 3e38).astype(np.float32)
+    if kind == 2:
+        return np.asfortranarray(values)
+    return values
+
+
+def _document(rng, depth=0):
+    pick = rng.integers(10) if depth < 3 else rng.integers(5, 10)
+    if pick < 2:
+        return {f"k{i}": _document(rng, depth + 1)
+                for i in range(int(rng.integers(0, 4)))}
+    if pick < 4:
+        items = [_document(rng, depth + 1)
+                 for _ in range(int(rng.integers(0, 5)))]
+        return items if pick == 2 else tuple(items)
+    if pick < 7:
+        return _array(rng)
+    leaves = [_real(rng), np.float32(_real(rng) % 3e38),
+              int(rng.integers(-9, 9)), bool(rng.integers(2)), None,
+              "a \"str\"\n"]
+    return leaves[int(rng.integers(len(leaves)))]
+
+
+class TestGoldenBytes:
+    def test_random_documents(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(1500):
+            doc = {"n": 3, "body": _document(rng)}
+            assert io.dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("shape", [
+        (0,), (0, 4), (4, 0), (1, 1), (6, 1), (2, 2), (3, 30), (2, 3, 4),
+        (2, 0, 3), (1, 1, 1),
+    ])
+    def test_shapes(self, shape):
+        rng = np.random.default_rng(7)
+        values = rng.choice(EDGE_REALS, size=shape)
+        single = np.clip(values, -3e38, 3e38).astype(np.float32)
+        for arr in (values, single, np.rint(values[..., ::-1] % 7)):
+            doc = {"a": arr, "nested": [arr, {"b": arr}]}
+            assert io.dumps(doc) == reference_dumps(doc)
+
+    def test_edge_reals_in_one_row(self):
+        row = np.array(EDGE_REALS)
+        assert io.dumps(row) == reference_dumps(row)
+        assert io.dumps(-row) == reference_dumps(-row)
+        toward = np.array([0.0, 1e17, 1e18], dtype=np.float32)
+        near = np.nextafter(np.float32(1e17), toward)
+        assert io.dumps(near) == reference_dumps(near)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_same_error(self, bad):
+        for arr in (np.array([1.0, bad, np.nan]),
+                    np.array([[0.5, 2.0], [np.inf, bad]])[::-1],
+                    np.array([bad], dtype=np.float32)):
+            doc = {"ok": [1.0], "a": arr}
+            with pytest.raises(FileFormatError) as expected:
+                reference_dumps(doc)
+            with pytest.raises(FileFormatError) as actual:
+                io.dumps(doc)
+            assert str(actual.value) == str(expected.value)
+
+
+def _lifted_mfn(n=300, d=4, m=10, seed=5):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    dhat = rng.standard_normal((m, d))
+    x0 = rng.standard_normal(n)
+    hess = rng.standard_normal((n, n))
+    grad = rng.standard_normal(n)
+    disp = dhat @ q.T
+    values = np.concatenate([[0.0], disp @ grad + 0.5 * np.einsum(
+        "ij,jk,ik->i", disp, hess, disp)])
+    full = SampleSet(x0, disp, values)
+    frame = detect_subspace(full)
+    return lift_mfn(fit_mfn(hat_sampleset(full, frame)), frame)
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).view(np.int64)
+
+
+class TestRoundTrip:
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=8),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_float_arrays_bit_exact(self, arr):
+        back = np.array(json.loads(io.dumps(arr)))
+        assert back.dtype == np.float64 and back.shape == arr.shape
+        np.testing.assert_array_equal(_bits(back), _bits(arr))
+
+    def test_lifted_mfn_n300(self, tmp_path):
+        result = _lifted_mfn()
+        assert result.gradients.ambiguity_basis.shape == (300, 296)
+        path = tmp_path / "lifted.json"
+        io.save_model(str(path), result)
+        assert path.read_text(encoding="utf-8") == (
+            reference_dumps(io.model_to_dict(result)) + "\n"
+        )
+        loaded = io.load_model(str(path))
+        for got, want in (
+            (loaded.model.x0, result.model.x0),
+            (loaded.model.g, result.model.g),
+            (loaded.model.H, result.model.H),
+            (loaded.gradients.ambiguity_basis,
+             result.gradients.ambiguity_basis),
+        ):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert _bits(loaded.model.c) == _bits(result.model.c)
+
+
+def _valid_documents(tmp_path):
+    """One valid file per loader, as ``{name: (path, loader)}``."""
+    files = {}
+    path = tmp_path / "samples.json"
+    io.save_sampleset(str(path), unit_square_set())
+    files["sampleset"] = (path, io.load_sampleset)
+    path = tmp_path / "model.json"
+    io.save_model(str(path), fit_mfn(unit_square_set()))
+    files["model"] = (path, io.load_model)
+    path = tmp_path / "frame.json"
+    io.save_frame(str(path), axis_frame())
+    files["frame"] = (path, io.load_frame)
+    path = tmp_path / "bundle.json"
+    io.save_bundle(str(path), DirectionBundle(np.eye(3), np.eye(3)))
+    files["bundle"] = (path, io.load_bundle)
+    path = tmp_path / "href.json"
+    path.write_text(json.dumps({"n": 3, "H": np.eye(3).tolist()}))
+    files["href"] = (path, lambda p: io.load_reference_hessian(p, 3))
+    return files
+
+
+def _rewrite(path, key, value):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc[key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+class TestTypedLoaderErrors:
+    @pytest.mark.parametrize("name,key", [
+        ("sampleset", "n"), ("model", "n"), ("frame", "n"), ("frame", "d"),
+        ("bundle", "n"), ("href", "n"),
+    ])
+    @pytest.mark.parametrize("value", ["abc", 2.5, 3.0, True, None, [3]])
+    def test_dimension_must_be_an_integer(self, tmp_path, name, key, value):
+        path, loader = _valid_documents(tmp_path)[name]
+        loader(str(path))
+        _rewrite(path, key, value)
+        with pytest.raises(FileFormatError, match="must be an integer"):
+            loader(str(path))
+
+    @pytest.mark.parametrize("value", [True, False, "1.0", None])
+    def test_model_constant_must_be_a_real(self, tmp_path, value):
+        path, loader = _valid_documents(tmp_path)["model"]
+        _rewrite(path, "c", value)
+        with pytest.raises(FileFormatError, match="'c' must be a real"):
+            loader(str(path))
+
+    @pytest.mark.parametrize("value", ["abc", 2.5])
+    def test_cli_reports_bad_dimension(self, tmp_path, capsys, value):
+        path, _ = _valid_documents(tmp_path)["sampleset"]
+        _rewrite(path, "n", value)
+        code = main(["fit", "--kind", "mn", "--in", str(path),
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_cli_reports_bool_constant(self, tmp_path, capsys):
+        files = _valid_documents(tmp_path)
+        path = files["model"][0]
+        _rewrite(path, "c", True)
+        code = main(["subspace", "restrict", "--model", str(path),
+                     "--frame", str(files["frame"][0]),
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err

@@ -114,6 +114,16 @@ class TestComplement:
                 np.array([[1.0, 0.9], [0.0, 0.1], [0.0, 0.0]])
             )
 
+    def test_defect_measured_in_frobenius_norm(self):
+        from subquad.errors import NotOrthonormalError
+
+        # Gram defect 8e-11 * I_4: spectral norm 8e-11 is within the
+        # tolerance, Frobenius norm 1.6e-10 is not.
+        basis = np.eye(6)[:, :4] * np.sqrt(1.0 + 8e-11)
+        with pytest.raises(NotOrthonormalError, match="_F"):
+            linalg.orthonormal_complement(basis)
+        linalg.orthonormal_complement(basis[:, :1])
+
 
 def nullspace_of(a):
     """Orthonormal nullspace basis at the default rank tolerance."""
