@@ -33,7 +33,7 @@ from .errors import (
 from .geometry import SubspaceFrame
 from .models import GradientFamily, ModelResult, QuadraticModel
 
-#: Frobenius-norm threshold above which a least-change correction "counts".
+#: Relative Frobenius size above which a least-change correction "counts".
 CORRECTION_TOL = 1e-12
 
 #: Tolerance for comparing a stored reference Hessian with ``Q^T Href Q``.
@@ -128,6 +128,13 @@ def lift_mfn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
     return ModelResult(model, family, "mfn")
 
 
+def _correction_counts(correction, hess) -> bool:
+    """True when ``correction`` is large against the Hessian ``hess``."""
+    return bool(
+        np.linalg.norm(correction) > CORRECTION_TOL * np.linalg.norm(hess)
+    )
+
+
 def lift_lfu(sub: ModelResult, frame: SubspaceFrame,
              href_full) -> ModelResult:
     """Lift a subspace least-change fit given the full-space reference.
@@ -161,10 +168,10 @@ def lift_lfu(sub: ModelResult, frame: SubspaceFrame,
     )
     family = _lift_family(sub.gradients, frame)
     model = QuadraticModel(frame.x0, sub.model.c, family.canonical, hess)
-    applied = bool(np.linalg.norm(correction) > CORRECTION_TOL)
     return ModelResult(
         model, family, "lfu",
-        reference_hessian=href, correction_applied=applied,
+        reference_hessian=href,
+        correction_applied=_correction_counts(correction, href),
     )
 
 
@@ -343,9 +350,7 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
         hessian_gap=float(np.linalg.norm(full_model.H - lifted_h)),
         subspace_value_gap=float(sub_gap),
         orthogonal_value_gap=float(orth_gap),
-        correction_applied=bool(
-            np.linalg.norm(correction) > CORRECTION_TOL
-        ),
+        correction_applied=_correction_counts(correction, full_model.H),
         complement_probe_gaps=tuple(float(v) for v in comp_gaps),
         value_scale=float(value_scale),
         probe_scale=probe_scale,

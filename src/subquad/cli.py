@@ -29,14 +29,12 @@ import sys
 from . import bridge, harness, io, models, simplex
 from .errors import FileFormatError, SubquadError, UnknownTheoremError
 from .functions import make_function
-from .geometry import FunctionOracle, detect_subspace
+from .geometry import FEASIBILITY_RTOL, FunctionOracle, detect_subspace
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_VERIFY_FAILED = 3
-
-FIT_KINDS = ("dqi", "mn", "mfn", "lfu", "qgsd")
 
 VERIFY_CHOICES = harness.SUITES + ("qgsd", "negative", "all")
 
@@ -84,22 +82,17 @@ def _cmd_fit(args) -> int:
         )
     else:
         sample_set = io.load_sampleset(args.infile)
-        feas = args.tol if args.tol is not None else 1e-9
+        feas = args.tol if args.tol is not None else FEASIBILITY_RTOL
         if args.kind == "dqi":
             result = models.fit_dqi(sample_set, rank_tol=args.rank_tol)
-        elif args.kind == "mn":
-            result = models.fit_mn(
-                sample_set, rank_tol=args.rank_tol, feas_tol=feas
-            )
-        elif args.kind == "mfn":
-            result = models.fit_mfn(
-                sample_set, rank_tol=args.rank_tol, feas_tol=feas
-            )
-        else:
+        elif args.kind == "lfu":
             href = io.load_reference_hessian(args.href, sample_set.n)
             result = models.fit_lfu(
                 sample_set, href, rank_tol=args.rank_tol, feas_tol=feas
             )
+        else:
+            fit = models.fit_mn if args.kind == "mn" else models.fit_mfn
+            result = fit(sample_set, rank_tol=args.rank_tol, feas_tol=feas)
     _echo_config("fit", config)
     io.save_model(args.out, result, config={"command": "fit", **config})
     print(
@@ -248,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a model and write a model file")
-    fit.add_argument("--kind", required=True, choices=FIT_KINDS)
+    fit.add_argument("--kind", required=True, choices=io.MODEL_KINDS)
     fit.add_argument("--in", dest="infile", required=True,
                      help="sample-set file (or direction bundle for qgsd)")
     fit.add_argument("--out", required=True, help="model file to write")
@@ -263,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(sphere, quad[:SEED], cubic[:SEED], trig[:SEED])")
     fit.add_argument("--rank-tol", type=float, default=None)
     fit.add_argument("--tol", type=float, default=None,
-                     help="feasibility tolerance (default 1e-9)")
+                     help="feasibility tolerance "
+                          f"(default {FEASIBILITY_RTOL:g})")
     fit.set_defaults(func=_cmd_fit)
 
     space = sub.add_parser("subspace", help="frame detection and conversion")
@@ -322,18 +316,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except UnknownTheoremError as exc:
+    except (FileFormatError, UnknownTheoremError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SubquadError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

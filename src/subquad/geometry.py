@@ -304,30 +304,37 @@ def quadratic_constraint_matrix(displacements) -> np.ndarray:
     return np.hstack([disp, (disp[:, iu] * disp[:, ju] / 2.0) * weights])
 
 
-def _stacked_solve(sample_set: SampleSet, rank_tol):
+def _stacked_solve(sample_set: SampleSet, rank_tol) -> np.ndarray:
     """Min-norm solve of the interpolation constraints over
-    ``(alpha, svec(H))``, and the feasibility check it answers.
-
-    Returns ``(solution, (residual, scale))`` as in
-    :func:`feasibility_residual`, from one factorization.
-    """
+    ``(alpha, svec(H))``, from one factorization of the stacked matrix."""
     matrix = quadratic_constraint_matrix(sample_set.displacements)
-    solution = linalg.minnorm_lstsq(matrix, sample_set.delta, rank_tol)
-    residual = float(
-        np.max(np.abs(matrix @ solution - sample_set.delta))
-    )
-    scale = max(1.0, float(np.max(np.abs(sample_set.values))))
-    return solution, (residual, scale)
+    return linalg.minnorm_lstsq(matrix, sample_set.delta, rank_tol)
+
+
+def _interpolation_residual(sample_set: SampleSet, grad, hess):
+    """``(residual, scale)`` of the quadratic ``(grad, hess)`` on the set:
+    worst ``|d_i . grad + d_i^T hess d_i / 2 - delta_i|``, and
+    ``max(1, max |values|)``."""
+    disp = sample_set.displacements
+    curvature = ((disp @ hess) * disp).sum(axis=1)
+    residual = float(np.max(np.abs(
+        disp @ grad + 0.5 * curvature - sample_set.delta
+    )))
+    return residual, max(1.0, float(np.max(np.abs(sample_set.values))))
 
 
 def feasibility_residual(sample_set: SampleSet,
                          rank_tol: float | None = None):
-    """Worst constraint residual of the best interpolating quadratic.
+    """Worst constraint residual of the minimum-norm quadratic.
 
     Returns ``(residual, scale)`` where ``scale = max(1, max |values|)``;
     the set is considered feasible when ``residual <= tol * scale``.
     """
-    return _stacked_solve(sample_set, rank_tol)[1]
+    solution = _stacked_solve(sample_set, rank_tol)
+    n = sample_set.n
+    return _interpolation_residual(
+        sample_set, solution[:n], linalg.smat(solution[n:])
+    )
 
 
 def interpolation_feasible(sample_set: SampleSet,

@@ -234,10 +234,13 @@ def load_model(path) -> ModelResult:
         if href.shape != (n, n):
             raise FileFormatError(f"{path}: href must be {n} x {n}")
     correction = doc.get("correction_applied")
+    if "correction_applied" in doc and not isinstance(correction, bool):
+        raise FileFormatError(
+            f"{path}: field 'correction_applied' must be true or false"
+        )
     return ModelResult(
         model, GradientFamily(grad, ambiguity), kind,
-        reference_hessian=href,
-        correction_applied=None if correction is None else bool(correction),
+        reference_hessian=href, correction_applied=correction,
     )
 
 

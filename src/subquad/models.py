@@ -15,6 +15,10 @@ Four constructions share the interpolation constraints
 
 Whenever the gradient is non-unique the full solution set is the canonical
 (minimum-norm) gradient plus the span of an orthonormal ambiguity basis.
+
+Feasibility is judged on the model a fit returns: ``fit_mn``, ``fit_mfn``
+and ``fit_lfu`` raise :class:`InfeasibleError` exactly when that model misses
+one of the caller's values by more than ``feas_tol * max(1, max |values|)``.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .errors import (
 from .geometry import (
     FEASIBILITY_RTOL,
     SampleSet,
+    _interpolation_residual,
     _stacked_solve,
-    feasibility_residual,
     poised_for_quadratic,
 )
 
@@ -158,13 +162,9 @@ def member(gradients: GradientFamily, coeffs) -> np.ndarray:
     return gradients.canonical + gradients.ambiguity_basis @ coeffs
 
 
-def _unique_family(g: np.ndarray) -> GradientFamily:
-    return GradientFamily(g, np.zeros((g.shape[0], 0)))
-
-
-def _require_feasible(check, feas_tol):
-    """Raise unless ``check = (residual, scale)`` is within ``feas_tol``."""
-    residual, scale = check
+def _require_interpolates(sample_set: SampleSet, model, feas_tol):
+    """Raise unless ``model`` meets the set's values within ``feas_tol``."""
+    residual, scale = _interpolation_residual(sample_set, model.g, model.H)
     if residual > feas_tol * scale:
         raise InfeasibleError(
             "no quadratic interpolates these values "
@@ -189,17 +189,17 @@ def _project_span(alpha: np.ndarray, span_basis: np.ndarray):
     return span_basis @ (span_basis.T @ alpha)
 
 
-def _stacked_model(sample_set: SampleSet, solution: np.ndarray, rank_tol,
-                   kind: str) -> ModelResult:
-    """Model from a stacked ``(alpha, svec(H))`` solution."""
+def _stacked_model(sample_set: SampleSet, rank_tol, kind: str) -> ModelResult:
+    """Model from the stacked ``(alpha, svec(H))`` min-norm solution."""
     n = sample_set.n
+    solution = _stacked_solve(sample_set, rank_tol)
     span_basis = _span_basis(sample_set.displacements, rank_tol)
     alpha = _project_span(solution[:n], span_basis)
     model = QuadraticModel(
         sample_set.x0, sample_set.values[0], alpha,
         linalg.smat(solution[n:]),
     )
-    return ModelResult(model, _unique_family(alpha), kind)
+    return ModelResult(model, GradientFamily(alpha, np.zeros((n, 0))), kind)
 
 
 def fit_mn(sample_set: SampleSet,
@@ -209,12 +209,12 @@ def fit_mn(sample_set: SampleSet,
 
     Because the vectorization is isometric, one stacked minimum-norm
     least-squares solve yields the unique minimizer; the gradient family
-    is a single point. The same factorization answers the feasibility
-    check.
+    is a single point. Values that no quadratic meets leave the returned
+    model with a residual, which is what the feasibility check measures.
     """
-    solution, check = _stacked_solve(sample_set, rank_tol)
-    _require_feasible(check, feas_tol)
-    return _stacked_model(sample_set, solution, rank_tol, "mn")
+    result = _stacked_model(sample_set, rank_tol, "mn")
+    _require_interpolates(sample_set, result.model, feas_tol)
+    return result
 
 
 def fit_dqi(sample_set: SampleSet,
@@ -229,8 +229,7 @@ def fit_dqi(sample_set: SampleSet,
             f"sample set with m={sample_set.m}, n={sample_set.n} does not "
             "determine a unique quadratic"
         )
-    solution, _ = _stacked_solve(sample_set, rank_tol)
-    return _stacked_model(sample_set, solution, rank_tol, "dqi")
+    return _stacked_model(sample_set, rank_tol, "dqi")
 
 
 def _solve_min_frobenius(displacements: np.ndarray, delta: np.ndarray,
@@ -255,34 +254,44 @@ def _solve_min_frobenius(displacements: np.ndarray, delta: np.ndarray,
     kkt[:m, m:] = span.T
     kkt[m:, :m] = span
     rhs = np.concatenate([delta, np.zeros(n)])
-    kkt_tol = rank_tol
-    if kkt_tol is None:
-        kkt_tol = linalg.default_rank_tol(m + n, m + n)
-    solution = linalg.minnorm_lstsq(kkt, rhs, kkt_tol)
+    solution = linalg.minnorm_lstsq(kkt, rhs, rank_tol)
     mu, alpha = solution[:m], solution[m:]
     alpha = _project_span(alpha, span_basis)
     hess = (span * mu) @ span.T                 # sum_i mu_i d_i d_i^T
     return alpha, linalg.sym_part(hess)
 
 
+def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol):
+    """Smallest Hessian update from ``href`` (from zero when ``None``) that
+    meets the values less the reference quadratic's ``d_i^T Href d_i / 2``.
+    """
+    disp = sample_set.displacements
+    values = sample_set.values
+    if href is None:
+        delta = sample_set.delta
+    else:
+        shift = 0.5 * np.einsum("ij,jk,ik->i", disp, href, disp)
+        delta = (values[1:] - shift) - values[0]
+    span_basis = _span_basis(disp, rank_tol)
+    alpha, hess = _solve_min_frobenius(disp, delta, span_basis, rank_tol)
+    if href is not None:
+        hess = linalg.sym_part(href + hess)
+    model = QuadraticModel(sample_set.x0, values[0], alpha, hess)
+    _require_interpolates(sample_set, model, feas_tol)
+    family = GradientFamily(alpha, linalg.orthonormal_complement(span_basis))
+    kind = "mfn" if href is None else "lfu"
+    return ModelResult(model, family, kind, reference_hessian=href)
+
+
 def fit_mfn(sample_set: SampleSet,
             rank_tol: float | None = None,
             feas_tol: float = FEASIBILITY_RTOL) -> ModelResult:
-    """Minimum-Frobenius-norm-Hessian model.
+    """Minimum-Frobenius-norm-Hessian model: least change from no reference.
 
     The Hessian is unique; the gradient is determined only up to directions
     orthogonal to every displacement, reported as the ambiguity basis.
     """
-    _require_feasible(feasibility_residual(sample_set, rank_tol), feas_tol)
-    span_basis = _span_basis(sample_set.displacements, rank_tol)
-    alpha, hess = _solve_min_frobenius(
-        sample_set.displacements, sample_set.delta, span_basis, rank_tol
-    )
-    family = GradientFamily(
-        alpha, linalg.orthonormal_complement(span_basis)
-    )
-    model = QuadraticModel(sample_set.x0, sample_set.values[0], alpha, hess)
-    return ModelResult(model, family, "mfn")
+    return _least_change(sample_set, None, rank_tol, feas_tol)
 
 
 def fit_lfu(sample_set: SampleSet, href,
@@ -290,9 +299,9 @@ def fit_lfu(sample_set: SampleSet, href,
             feas_tol: float = FEASIBILITY_RTOL) -> ModelResult:
     """Least-change model: Hessian closest (Frobenius) to ``href``.
 
-    Reduces exactly to :func:`fit_mfn`: subtract the reference quadratic's
-    contribution ``d_i^T Href d_i / 2`` from each value difference, solve
-    for the smallest update, and add ``href`` back.
+    Reduces exactly to the minimum-Frobenius fit of the value differences
+    left after the reference quadratic's contribution; with ``href = 0``
+    it is :func:`fit_mfn`.
     """
     href = linalg.as_matrix(href, "reference Hessian")
     n = sample_set.n
@@ -307,20 +316,4 @@ def fit_lfu(sample_set: SampleSet, href,
         )
     if np.max(np.abs(href - href.T)) > 1e-12 * max(1.0, np.max(np.abs(href))):
         raise NotSquareError("reference Hessian must be symmetric")
-    href = linalg.sym_part(href)
-    disp = sample_set.displacements
-    shift = 0.5 * np.einsum("ij,jk,ik->i", disp, href, disp)
-    shifted = SampleSet(
-        sample_set.x0,
-        disp,
-        np.concatenate([sample_set.values[:1], sample_set.values[1:] - shift]),
-    )
-    _require_feasible(feasibility_residual(shifted, rank_tol), feas_tol)
-    span_basis = _span_basis(disp, rank_tol)
-    alpha, update = _solve_min_frobenius(
-        disp, shifted.delta, span_basis, rank_tol
-    )
-    hess = linalg.sym_part(href + update)
-    family = GradientFamily(alpha, linalg.orthonormal_complement(span_basis))
-    model = QuadraticModel(sample_set.x0, sample_set.values[0], alpha, hess)
-    return ModelResult(model, family, "lfu", reference_hessian=href)
+    return _least_change(sample_set, linalg.sym_part(href), rank_tol, feas_tol)

@@ -334,3 +334,37 @@ class TestCoincidenceReport:
         a = coincidence_check(lifted.model, sub.model, frame, seed=9)
         b = coincidence_check(lifted.model, sub.model, frame, seed=9)
         assert a.to_dict() == b.to_dict()
+
+
+class TestCorrectionFlagScale:
+    """``correction_applied`` compares the correction with the Hessian it
+    comes from, so scaling the values and the reference by ``10^k`` leaves
+    the flag as it is."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        rng = np.random.default_rng(300)
+        full_set, frame = planted_instance(rng, n=300, d=6, m=15)
+        inner = linalg.sym_part(rng.standard_normal((6, 6)))
+        supported = linalg.sym_part(frame.Q @ inner @ frame.Q.T)
+        return full_set, frame, supported
+
+    @pytest.mark.parametrize("k", range(-8, 9))
+    def test_flag_is_scale_free(self, instance, k):
+        full_set, frame, supported = instance
+        scale = 10.0 ** k
+        hatted = hat_sampleset(full_set, frame)
+        hatted = SampleSet(hatted.x0, hatted.displacements,
+                           scale * hatted.values)
+        sub = fit_mfn(hatted)
+        lifted = lift_mfn(sub, frame)
+        report = coincidence_check(lifted, sub, frame, probes=2)
+        assert report.correction_applied is False
+        for href, expected in ((scale * supported, False),
+                               (scale * np.eye(frame.n), True)):
+            href_hat = linalg.sym_part(frame.Q.T @ href @ frame.Q)
+            sub = fit_lfu(hatted, href_hat)
+            lifted = lift_lfu(sub, frame, href)
+            assert lifted.correction_applied is expected
+            report = coincidence_check(lifted, sub, frame, probes=2)
+            assert report.correction_applied is expected

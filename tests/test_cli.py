@@ -16,7 +16,7 @@ from conftest import axis_frame, unit_square_set
 from subquad import io
 from subquad.cli import main
 from subquad.errors import FileFormatError
-from subquad.geometry import SubspaceFrame, hat_sampleset
+from subquad.geometry import SampleSet, SubspaceFrame, hat_sampleset
 from subquad.models import fit_lfu, fit_mfn
 from subquad.simplex import DirectionBundle
 
@@ -173,6 +173,21 @@ class TestFitCommand:
         ])
         assert code == 2
         assert "NotPoised" in capsys.readouterr().err
+
+    def test_infeasible_mfn_exits_2(self, tmp_path, capsys):
+        t = np.arange(1.0, 7.0)
+        path = tmp_path / "collinear.json"
+        io.save_sampleset(str(path), SampleSet(
+            np.zeros(3), np.outer(t, np.array([1.0, 1.0, 0.0])),
+            np.array([0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0]),
+        ))
+        code = main([
+            "fit", "--kind", "mfn", "--in", str(path),
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "InfeasibleError" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_malformed_input_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -228,6 +228,33 @@ class TestTypedLoaderErrors:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_correction_flag_accepts_json_bools(self, tmp_path, value):
+        path, loader = _valid_documents(tmp_path)["model"]
+        assert loader(str(path)).correction_applied is None
+        _rewrite(path, "correction_applied", value)
+        assert loader(str(path)).correction_applied is value
+
+    @pytest.mark.parametrize(
+        "value", ["false", "true", 0, 1, 0.0, [], {}, None]
+    )
+    def test_correction_flag_must_be_a_bool(self, tmp_path, value):
+        path, loader = _valid_documents(tmp_path)["model"]
+        _rewrite(path, "correction_applied", value)
+        with pytest.raises(FileFormatError, match="true or false"):
+            loader(str(path))
+
+    def test_cli_reports_bad_correction_flag(self, tmp_path, capsys):
+        files = _valid_documents(tmp_path)
+        path = files["model"][0]
+        _rewrite(path, "correction_applied", "false")
+        code = main(["subspace", "restrict", "--model", str(path),
+                     "--frame", str(files["frame"][0]),
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert "correction_applied" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_cli_reports_bool_constant(self, tmp_path, capsys):
         files = _valid_documents(tmp_path)
         path = files["model"][0]

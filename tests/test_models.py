@@ -13,8 +13,10 @@ The key cross-checks:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_poised_set
+from conftest import random_poised_set, unit_square_set
 from subquad import linalg
 from subquad.errors import (
     DimensionMismatchError,
@@ -22,7 +24,11 @@ from subquad.errors import (
     NotPoisedError,
     NotSquareError,
 )
-from subquad.geometry import SampleSet, quadratic_constraint_matrix
+from subquad.geometry import (
+    FEASIBILITY_RTOL,
+    SampleSet,
+    quadratic_constraint_matrix,
+)
 from subquad.models import (
     QuadraticModel,
     evaluate,
@@ -371,3 +377,156 @@ class TestLargeDimension:
         h_scale = max(1.0, float(np.linalg.norm(lifted.model.H)))
         assert np.linalg.norm(g - lifted.model.g) <= 1e-8 * g_scale
         assert np.linalg.norm(h - lifted.model.H) <= 1e-8 * h_scale
+
+
+def collinear_inconsistent_set():
+    """Six steps along one line in R^3 with values no univariate quadratic
+    meets (the infeasible set of the geometry tests)."""
+    t = np.arange(1.0, 7.0)
+    disp = np.outer(t, np.array([1.0, 1.0, 0.0]))
+    values = np.array([0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0])
+    return SampleSet(np.zeros(3), disp, values)
+
+
+def collinear_quadratic_set():
+    t = np.arange(1.0, 7.0)
+    disp = np.outer(t, np.array([1.0, 1.0, 0.0]))
+    f = lambda x: 1.0 + x[0] + 3.0 * x[1] ** 2
+    values = np.array([f(np.zeros(3))] + [f(d) for d in disp])
+    return SampleSet(np.zeros(3), disp, values)
+
+
+def poised_quadratic_set():
+    rng = np.random.default_rng(7)
+    disp = random_poised_set(rng, 3)
+    h = linalg.sym_part(rng.standard_normal((3, 3)))
+    g = rng.standard_normal(3)
+    values = np.array([2.0] + [2.0 + g @ d + 0.5 * d @ h @ d for d in disp])
+    return SampleSet(np.zeros(3), disp, values)
+
+
+def planted_wide_set():
+    rng = np.random.default_rng(11)
+    basis, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+    disp = rng.standard_normal((7, 3)) @ basis.T
+    x0 = rng.standard_normal(8)
+    f = lambda x: float(np.cos(x).sum() + 0.5 * x @ x)
+    values = np.array([f(x0)] + [f(x0 + row) for row in disp])
+    return SampleSet(x0, disp, values)
+
+
+FIXTURE_SETS = {
+    "square": unit_square_set,
+    "collinear": collinear_quadratic_set,
+    "poised": poised_quadratic_set,
+    "wide": planted_wide_set,
+}
+
+
+def fit_by_kind(kind, sample_set):
+    if kind == "dqi":
+        return fit_dqi(sample_set)
+    if kind == "mn":
+        return fit_mn(sample_set)
+    if kind == "mfn":
+        return fit_mfn(sample_set)
+    return fit_lfu(sample_set, np.eye(sample_set.n))
+
+
+class TestFeasibilityRule:
+    """A fit raises exactly when the model it returns misses a value by
+    more than ``feas_tol * max(1, max |values|)``."""
+
+    @pytest.mark.parametrize("fit", [
+        fit_mn, fit_mfn,
+        lambda s: fit_lfu(s, np.zeros((3, 3))),
+        lambda s: fit_lfu(s, np.eye(3)),
+    ], ids=["mn", "mfn", "lfu-zero", "lfu-identity"])
+    def test_inconsistent_values_raise(self, fit):
+        with pytest.raises(InfeasibleError) as info:
+            fit(collinear_inconsistent_set())
+        assert info.value.residual > 1e-6
+
+    @pytest.mark.parametrize("name,kind", [("poised", "dqi")] + [
+        (name, kind) for name in sorted(FIXTURE_SETS)
+        for kind in ("mn", "mfn", "lfu")
+    ])
+    def test_returned_model_meets_values(self, name, kind):
+        sample_set = FIXTURE_SETS[name]()
+        model = fit_by_kind(kind, sample_set).model
+        scale = max(1.0, float(np.max(np.abs(sample_set.values))))
+        for point, value in zip(sample_set.points(), sample_set.values):
+            got = eval_oracle(model.x0, model.c, model.g, model.H, point)
+            assert abs(got - value) <= FEASIBILITY_RTOL * scale
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_SETS))
+    def test_zero_reference_is_bitwise_min_frobenius(self, name):
+        sample_set = FIXTURE_SETS[name]()
+        a = fit_lfu(sample_set, np.zeros((sample_set.n, sample_set.n)))
+        b = fit_mfn(sample_set)
+        np.testing.assert_array_equal(a.model.H, b.model.H)
+        np.testing.assert_array_equal(a.model.g, b.model.g)
+        np.testing.assert_array_equal(
+            a.gradients.ambiguity_basis, b.gradients.ambiguity_basis
+        )
+
+
+def effective_cond(mat):
+    """sigma_max / smallest singular value kept at the default rank rule."""
+    sigma = np.linalg.svd(mat, compute_uv=False)
+    kept = sigma[sigma > linalg.default_rank_tol(*mat.shape) * sigma[0]]
+    return kept[0] / kept[-1]
+
+
+class TestPermutationInvariance:
+    """Reordering the sample rows leaves every fit unchanged.
+
+    Error model: each fit is a backward-stable solve of a system with
+    ``N = max(rows, cols)`` and effective condition number ``kappa`` (the
+    stacked matrix for mn, the multiplier system for mfn and lfu), so one
+    fit is within about ``N * eps * kappa`` of the exact answer relative to
+    its size. Two fits of the same problem may differ by twice that; the
+    bound allows a factor of 16. The ambiguity span is a function of the
+    displacements alone and is held to the same bound with their own
+    condition number.
+    """
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5),
+           extra=st.integers(-20, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_row_order_does_not_matter(self, seed, n, extra):
+        rng = np.random.default_rng(seed)
+        m = max(1, (n + 1) * (n + 2) // 2 - 1 + extra)
+        disp = rng.standard_normal((m, n))
+        g = rng.standard_normal(n)
+        h = linalg.sym_part(rng.standard_normal((n, n)))
+        values = np.concatenate([[0.5], 0.5 + disp @ g + 0.5 * np.einsum(
+            "ij,jk,ik->i", disp, h, disp)])
+        href = linalg.sym_part(rng.standard_normal((n, n)))
+        perm = rng.permutation(m)
+        base = SampleSet(np.zeros(n), disp, values)
+        moved = SampleSet(np.zeros(n), disp[perm],
+                          np.concatenate([values[:1], values[1:][perm]]))
+
+        gram = disp @ disp.T
+        multipliers = np.block([
+            [0.5 * gram * gram, disp], [disp.T, np.zeros((n, n))],
+        ])
+        systems = {
+            "mn": (fit_mn, quadratic_constraint_matrix(disp)),
+            "mfn": (fit_mfn, multipliers),
+            "lfu": (lambda s: fit_lfu(s, href), multipliers),
+        }
+        eps = np.finfo(float).eps
+        for kind, (fit, system) in systems.items():
+            a, b = fit(base), fit(moved)
+            size = np.hypot(np.linalg.norm(a.model.g),
+                            np.linalg.norm(a.model.H))
+            gap = np.hypot(np.linalg.norm(a.model.g - b.model.g),
+                           np.linalg.norm(a.model.H - b.model.H))
+            tol = 16 * max(system.shape) * eps * effective_cond(system)
+            assert gap <= tol * size, kind
+            pa, pb = a.gradients.ambiguity_basis, b.gradients.ambiguity_basis
+            span_gap = np.linalg.norm(pa @ pa.T - pb @ pb.T)
+            span_tol = 16 * max(disp.shape) * eps * effective_cond(disp)
+            assert span_gap <= span_tol, kind
