@@ -150,8 +150,33 @@ class SampleSet:
         return np.vstack([self.x0, self.x0 + self.displacements])
 
 
+def _may_have_duplicates(disp, norms) -> bool:
+    """False only when no two displacements can be duplicates.
+
+    Screens every pair at once through the Gram matrix. Its squared
+    distances, like the per-pair distances :func:`_merge_duplicates`
+    computes, are within about ``2 (n + 3) eps`` times
+    ``|d_i|^2 + |d_j|^2 + cutoff^2`` of the true ones; a pair is screened
+    out only when it clears the squared cutoff by twice that, and a
+    non-finite distance always counts as close.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = disp @ disp.T
+        sq = np.diag(gram)
+        pair_sq = sq[:, None] + sq[None, :]
+        dist_sq = pair_sq - 2.0 * gram
+        reach = DEDUP_RTOL * np.maximum(np.maximum.outer(norms, norms), 1.0)
+        reach_sq = reach * reach
+        slack = 4.0 * (disp.shape[1] + 3) * linalg.EPS * (pair_sq + reach_sq)
+        close = ~(dist_sq > reach_sq + slack)
+    np.fill_diagonal(close, False)
+    return bool(close.any())
+
+
 def _merge_duplicates(disp, values, norms):
     """Drop duplicate displacements; conflicting values are an error."""
+    if not _may_have_duplicates(disp, norms):
+        return disp, values
     keep = []
     for i in range(disp.shape[0]):
         duplicate_of = None
@@ -268,6 +293,15 @@ def hat_function(fn, frame: SubspaceFrame) -> FunctionOracle:
     return FunctionOracle(hatted, name=name, dim=frame.d)
 
 
+def _span_coordinates(displacements: np.ndarray, basis: np.ndarray):
+    """Coordinates ``D Q`` of the displacements in ``col(Q)``, and the worst
+    distance of a displacement from that span relative to its length."""
+    dhat = displacements @ basis
+    residual = displacements - dhat @ basis.T
+    norms = np.linalg.norm(displacements, axis=1)
+    return dhat, np.max(np.linalg.norm(residual, axis=1) / norms)
+
+
 def hat_sampleset(sample_set: SampleSet, frame: SubspaceFrame,
                   tol: float = SUBSPACE_RTOL) -> SampleSet:
     """Express a sample set in frame coordinates (values unchanged).
@@ -280,11 +314,7 @@ def hat_sampleset(sample_set: SampleSet, frame: SubspaceFrame,
             f"frame dimension {frame.n} does not match sample set "
             f"dimension {sample_set.n}"
         )
-    disp = sample_set.displacements
-    dhat = disp @ frame.Q
-    residual = disp - dhat @ frame.Q.T
-    norms = np.linalg.norm(disp, axis=1)
-    worst = np.max(np.linalg.norm(residual, axis=1) / norms)
+    dhat, worst = _span_coordinates(sample_set.displacements, frame.Q)
     if worst > tol:
         raise NotInSubspaceError(
             f"displacements leave the frame span (relative residual "
@@ -304,11 +334,56 @@ def quadratic_constraint_matrix(displacements) -> np.ndarray:
     return np.hstack([disp, (disp[:, iu] * disp[:, ju] / 2.0) * weights])
 
 
-def _stacked_solve(sample_set: SampleSet, rank_tol) -> np.ndarray:
-    """Min-norm solve of the interpolation constraints over
-    ``(alpha, svec(H))``, from one factorization of the stacked matrix."""
-    matrix = quadratic_constraint_matrix(sample_set.displacements)
-    return linalg.minnorm_lstsq(matrix, sample_set.delta, rank_tol)
+def _stacked_solve(displacements: np.ndarray, delta: np.ndarray, rank_tol):
+    """``(alpha, H)`` of the min-norm solve of the interpolation constraints
+    over ``(alpha, svec(H))``, from one factorization of the stacked
+    matrix."""
+    matrix = quadratic_constraint_matrix(displacements)
+    solution = linalg.minnorm_lstsq(matrix, delta, rank_tol)
+    n = displacements.shape[1]
+    return solution[:n], linalg.smat(solution[n:])
+
+
+def _solve_in_span(kernel, displacements: np.ndarray, delta: np.ndarray,
+                   rank_tol, system_shape, dense: bool = False):
+    """Run ``kernel(D, delta, rank_tol) -> (alpha, H)`` in span coordinates
+    and lift the result; returns ``(Q, alpha, H)``.
+
+    ``Q`` is the orthonormal basis of the span of the displacements. With
+    ``D = D_hat Q^T`` the dense system is the one in the ``r`` span
+    coordinates times an isometry, so both have the same nonzero singular
+    values and the dense minimizer is the lift ``alpha = Q alpha_hat``,
+    ``H = Q H_hat Q^T``. The rank cutoff is the one the dense system
+    (shape ``system_shape``) would use. The kernel runs on the dense ``D``
+    itself when ``dense`` is set, when ``Q`` spans all of R^n, or when a
+    displacement leaves ``col(Q)`` by more than ``SUBSPACE_RTOL`` (a large
+    ``rank_tol`` dropped a direction the data uses).
+    """
+    basis = linalg.orthonormal_columns(displacements.T, rank_tol)[0]
+    if rank_tol is None:
+        rank_tol = linalg.default_rank_tol(*system_shape)
+    if not dense and basis.shape[1] < basis.shape[0]:
+        dhat, worst = _span_coordinates(displacements, basis)
+        if worst <= SUBSPACE_RTOL:
+            alpha, hess = kernel(dhat, delta, rank_tol)
+            return basis, basis @ alpha, linalg.sym_part(
+                basis @ hess @ basis.T
+            )
+    alpha, hess = kernel(displacements, delta, rank_tol)
+    # An ill-conditioned dense solve can leak a gradient component the
+    # displacements never see; the minimizer has none.
+    return basis, basis @ (basis.T @ alpha), hess
+
+
+def _min_norm_quadratic(sample_set: SampleSet, rank_tol,
+                        dense: bool = False):
+    """``(Q, alpha, H)`` of the quadratic minimizing
+    ``||alpha||^2 + ||H||_F^2`` subject to the interpolation constraints."""
+    m, n = sample_set.displacements.shape
+    return _solve_in_span(
+        _stacked_solve, sample_set.displacements, sample_set.delta,
+        rank_tol, (m, n + n * (n + 1) // 2), dense,
+    )
 
 
 def _interpolation_residual(sample_set: SampleSet, grad, hess):
@@ -330,11 +405,8 @@ def feasibility_residual(sample_set: SampleSet,
     Returns ``(residual, scale)`` where ``scale = max(1, max |values|)``;
     the set is considered feasible when ``residual <= tol * scale``.
     """
-    solution = _stacked_solve(sample_set, rank_tol)
-    n = sample_set.n
-    return _interpolation_residual(
-        sample_set, solution[:n], linalg.smat(solution[n:])
-    )
+    _, grad, hess = _min_norm_quadratic(sample_set, rank_tol)
+    return _interpolation_residual(sample_set, grad, hess)
 
 
 def interpolation_feasible(sample_set: SampleSet,

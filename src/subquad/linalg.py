@@ -14,6 +14,8 @@ entry of largest magnitude (first such entry on ties) is nonnegative.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -74,10 +76,9 @@ def sym_part(mat) -> np.ndarray:
 def _fix_column_signs(basis: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry of each is positive."""
     basis = np.array(basis, copy=True)
-    for j in range(basis.shape[1]):
-        k = int(np.argmax(np.abs(basis[:, j])))
-        if basis[k, j] < 0.0:
-            basis[:, j] = -basis[:, j]
+    rows = np.argmax(np.abs(basis), axis=0)
+    flip = basis[rows, np.arange(basis.shape[1])] < 0.0
+    basis[:, flip] = -basis[:, flip]
     return basis
 
 
@@ -179,14 +180,19 @@ def pinv_apply(a, b, rank_tol: float | None = None) -> np.ndarray:
     return vt.T @ ((left.T @ rhs) / per_row)
 
 
+@functools.lru_cache(maxsize=32)
 def svec_layout(n: int):
     """Index and weight layout of :func:`svec` for ``n x n`` matrices.
 
     Returns ``(iu, ju, weights)``: the row-major upper-triangle indices and
-    the per-entry scale (1 on the diagonal, sqrt(2) off it).
+    the per-entry scale (1 on the diagonal, sqrt(2) off it). The arrays are
+    cached per ``n`` and read-only.
     """
     iu, ju = np.triu_indices(n)
-    return iu, ju, np.where(iu == ju, 1.0, _SQRT2)
+    layout = (iu, ju, np.where(iu == ju, 1.0, _SQRT2))
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def svec(h) -> np.ndarray:

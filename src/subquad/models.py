@@ -16,6 +16,17 @@ Four constructions share the interpolation constraints
 Whenever the gradient is non-unique the full solution set is the canonical
 (minimum-norm) gradient plus the span of an orthonormal ambiguity basis.
 
+Full-space ``fit_mn``, ``fit_mfn`` and ``fit_lfu`` are solved in the
+coordinates of the span of the displacements: with ``Q`` an orthonormal
+basis of that span (rank ``r``) and ``D = D_hat Q^T``, the fit runs on the
+``r``-dimensional system and is lifted exactly as ``g = Q g_hat``,
+``H = Q H_hat Q^T`` (plus ``Href`` for ``fit_lfu``), at the rank cutoff of
+the dense ``n``-dimensional system. The dense solve remains the fallback,
+taken when ``r == n`` or when the displacements leave ``col(Q)`` by more
+than ``SUBSPACE_RTOL`` (possible only with a large ``rank_tol``), and is the
+reference the verification harness compares the span route with.
+``fit_dqi`` always solves the dense system.
+
 Feasibility is judged on the model a fit returns: ``fit_mn``, ``fit_mfn``
 and ``fit_lfu`` raise :class:`InfeasibleError` exactly when that model misses
 one of the caller's values by more than ``feas_tol * max(1, max |values|)``.
@@ -38,7 +49,8 @@ from .geometry import (
     FEASIBILITY_RTOL,
     SampleSet,
     _interpolation_residual,
-    _stacked_solve,
+    _min_norm_quadratic,
+    _solve_in_span,
     poised_for_quadratic,
 )
 
@@ -173,33 +185,13 @@ def _require_interpolates(sample_set: SampleSet, model, feas_tol):
         )
 
 
-def _span_basis(displacements: np.ndarray, rank_tol) -> np.ndarray:
-    """Orthonormal basis of the span of the displacement directions."""
-    return linalg.orthonormal_columns(displacements.T, rank_tol)[0]
-
-
-def _project_span(alpha: np.ndarray, span_basis: np.ndarray):
-    """Drop the component of ``alpha`` unseen by the displacements.
-
-    The minimizers below all have gradients inside the span of the
-    displacement directions (any orthogonal component could be removed
-    without touching the constraints, shrinking the objective), but an
-    ill-conditioned solve can leak one in.  Exact-arithmetic no-op.
-    """
-    return span_basis @ (span_basis.T @ alpha)
-
-
-def _stacked_model(sample_set: SampleSet, rank_tol, kind: str) -> ModelResult:
-    """Model from the stacked ``(alpha, svec(H))`` min-norm solution."""
-    n = sample_set.n
-    solution = _stacked_solve(sample_set, rank_tol)
-    span_basis = _span_basis(sample_set.displacements, rank_tol)
-    alpha = _project_span(solution[:n], span_basis)
-    model = QuadraticModel(
-        sample_set.x0, sample_set.values[0], alpha,
-        linalg.smat(solution[n:]),
-    )
-    return ModelResult(model, GradientFamily(alpha, np.zeros((n, 0))), kind)
+def _stacked_model(sample_set: SampleSet, rank_tol, kind: str,
+                   dense: bool = False) -> ModelResult:
+    """Model from the min-norm solution over ``(alpha, svec(H))``."""
+    _, alpha, hess = _min_norm_quadratic(sample_set, rank_tol, dense)
+    model = QuadraticModel(sample_set.x0, sample_set.values[0], alpha, hess)
+    family = GradientFamily(alpha, np.zeros((sample_set.n, 0)))
+    return ModelResult(model, family, kind)
 
 
 def fit_mn(sample_set: SampleSet,
@@ -229,11 +221,11 @@ def fit_dqi(sample_set: SampleSet,
             f"sample set with m={sample_set.m}, n={sample_set.n} does not "
             "determine a unique quadratic"
         )
-    return _stacked_model(sample_set, rank_tol, "dqi")
+    return _stacked_model(sample_set, rank_tol, "dqi", dense=True)
 
 
 def _solve_min_frobenius(displacements: np.ndarray, delta: np.ndarray,
-                         span_basis: np.ndarray, rank_tol):
+                         rank_tol):
     """Smallest-Frobenius-norm Hessian meeting the constraints.
 
     Works in multiplier form: stationarity gives ``H = sum_i mu_i d_i d_i^T``
@@ -256,12 +248,12 @@ def _solve_min_frobenius(displacements: np.ndarray, delta: np.ndarray,
     rhs = np.concatenate([delta, np.zeros(n)])
     solution = linalg.minnorm_lstsq(kkt, rhs, rank_tol)
     mu, alpha = solution[:m], solution[m:]
-    alpha = _project_span(alpha, span_basis)
     hess = (span * mu) @ span.T                 # sum_i mu_i d_i d_i^T
     return alpha, linalg.sym_part(hess)
 
 
-def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol):
+def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol,
+                  dense: bool = False):
     """Smallest Hessian update from ``href`` (from zero when ``None``) that
     meets the values less the reference quadratic's ``d_i^T Href d_i / 2``.
     """
@@ -270,10 +262,12 @@ def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol):
     if href is None:
         delta = sample_set.delta
     else:
-        shift = 0.5 * np.einsum("ij,jk,ik->i", disp, href, disp)
+        shift = 0.5 * ((disp @ href) * disp).sum(axis=1)
         delta = (values[1:] - shift) - values[0]
-    span_basis = _span_basis(disp, rank_tol)
-    alpha, hess = _solve_min_frobenius(disp, delta, span_basis, rank_tol)
+    m, n = disp.shape
+    span_basis, alpha, hess = _solve_in_span(
+        _solve_min_frobenius, disp, delta, rank_tol, (m + n, m + n), dense
+    )
     if href is not None:
         hess = linalg.sym_part(href + hess)
     model = QuadraticModel(sample_set.x0, values[0], alpha, hess)
@@ -317,3 +311,20 @@ def fit_lfu(sample_set: SampleSet, href,
     if np.max(np.abs(href - href.T)) > 1e-12 * max(1.0, np.max(np.abs(href))):
         raise NotSquareError("reference Hessian must be symmetric")
     return _least_change(sample_set, linalg.sym_part(href), rank_tol, feas_tol)
+
+
+def _reference_fit(kind: str, sample_set: SampleSet, href=None,
+                   rank_tol: float | None = None,
+                   feas_tol: float = FEASIBILITY_RTOL) -> ModelResult:
+    """``fit_mn``, ``fit_mfn`` or ``fit_lfu`` (with a symmetric ``href``)
+    solved on the dense ``n``-dimensional system.
+
+    The span route falls back to this solve, and the verification harness
+    checks the span route against it.
+    """
+    if kind == "mn":
+        result = _stacked_model(sample_set, rank_tol, "mn", dense=True)
+        _require_interpolates(sample_set, result.model, feas_tol)
+        return result
+    href = None if kind == "mfn" else linalg.sym_part(href)
+    return _least_change(sample_set, href, rank_tol, feas_tol, dense=True)

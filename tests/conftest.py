@@ -52,3 +52,15 @@ def random_poised_set(rng, n, spread=1.0):
         if sigma[-1] > 1e-3 * sigma[0]:
             return disp
     raise RuntimeError("could not draw a well-poised set")
+
+
+def subspace_set(rng, n, d, m, values=None) -> SampleSet:
+    """``m`` steps in a random ``d``-dimensional subspace of R^n, with the
+    values of a smooth, non-quadratic function unless ``values`` is given."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    disp = rng.standard_normal((m, d)) @ basis.T
+    x0 = rng.standard_normal(n)
+    if values is None:
+        f = lambda x: float(np.sin(x).sum() + 0.5 * x @ x)
+        values = np.array([f(x0)] + [f(x0 + row) for row in disp])
+    return SampleSet(x0, disp, values)

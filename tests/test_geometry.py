@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import subspace_set
+
 from subquad.errors import (
     DimensionMismatchError,
     DuplicatePointError,
@@ -11,6 +13,7 @@ from subquad.errors import (
     NotInSubspaceError,
 )
 from subquad.geometry import (
+    DEDUP_RTOL,
     FunctionOracle,
     SampleSet,
     SubspaceFrame,
@@ -212,6 +215,73 @@ class TestFeasibility:
         values = np.array([f(np.zeros(3))] + [f(d) for d in disp])
         ss = SampleSet(np.zeros(3), disp, values)
         assert interpolation_feasible(ss)
+
+
+class TestFeasibilityAtLargeDimension:
+    """The residual of the min-norm quadratic at ``n = 200``, ``d = 6``
+    agrees with a dense least-squares solve of the full stacked system.
+
+    Error model: both are backward-stable solves of the same system, whose
+    residual is determined to about ``N eps kappa (||A|| ||x|| + ||delta||)``
+    with ``N`` the larger dimension of the ``m x (n + n(n+1)/2)`` matrix
+    ``A`` and ``kappa`` its effective condition number; the bound allows a
+    factor of 16.
+    """
+
+    @pytest.mark.parametrize("m,feasible", [(20, True), (30, False)])
+    def test_matches_dense_residual(self, rng, m, feasible):
+        values = None if feasible else rng.standard_normal(m + 1)
+        sample_set = subspace_set(rng, 200, 6, m, values)
+        residual, scale = feasibility_residual(sample_set)
+
+        mat = quadratic_constraint_matrix(sample_set.displacements)
+        coeff, *_ = np.linalg.lstsq(mat, sample_set.delta, rcond=None)
+        dense = np.max(np.abs(mat @ coeff - sample_set.delta))
+        sigma = np.linalg.svd(mat, compute_uv=False)
+        kept = sigma[sigma > max(mat.shape) * np.finfo(float).eps * sigma[0]]
+        tol = (16 * max(mat.shape) * np.finfo(float).eps
+               * (kept[0] / kept[-1])
+               * (kept[0] * np.linalg.norm(coeff)
+                  + np.linalg.norm(sample_set.delta)))
+        assert abs(residual - dense) <= tol
+        assert scale == max(1.0, float(np.max(np.abs(sample_set.values))))
+        assert interpolation_feasible(sample_set) == feasible
+
+
+def merge_oracle(disp, values):
+    """Pairwise duplicate merge, one pair at a time; oracle only."""
+    norms = np.linalg.norm(disp, axis=1)
+    keep = []
+    for i in range(disp.shape[0]):
+        if not any(
+            np.linalg.norm(disp[i] - disp[j])
+            <= DEDUP_RTOL * max(norms[i], norms[j], 1.0)
+            for j in keep
+        ):
+            keep.append(i)
+    idx = np.asarray(keep, dtype=int)
+    return disp[idx], np.concatenate([values[:1], values[1 + idx]])
+
+
+class TestDuplicateScreen:
+    """Sets the Gram-matrix screen passes through merge exactly as the
+    pairwise loop does, including pairs at the duplicate cutoff."""
+
+    # at 1e200 the squared norms overflow in the set's own checks too
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-100, 1e-8, 1.0, 1e8, 1e100, 1e200])
+    @pytest.mark.parametrize("gap", [0.0, 0.5, 0.999, 1.001, 2.0, 1e3])
+    def test_matches_pairwise_merge(self, rng, scale, gap):
+        disp = scale * rng.standard_normal((7, 5))
+        unit = rng.standard_normal(5)
+        unit /= np.linalg.norm(unit)
+        cutoff = DEDUP_RTOL * max(scale * np.linalg.norm(disp[2] / scale), 1.0)
+        disp[5] = disp[2] + gap * cutoff * unit
+        values = np.ones(8)
+        merged = SampleSet(np.zeros(5), disp, values)
+        want_disp, want_values = merge_oracle(disp, values)
+        np.testing.assert_array_equal(merged.displacements, want_disp)
+        np.testing.assert_array_equal(merged.values, want_values)
 
 
 class TestPoisedness:

@@ -125,6 +125,53 @@ class TestComplement:
         linalg.orthonormal_complement(basis[:, :1])
 
 
+def fix_signs_loop(basis):
+    """Per-column sign convention, one column at a time; oracle only."""
+    basis = np.array(basis, copy=True)
+    for j in range(basis.shape[1]):
+        k = int(np.argmax(np.abs(basis[:, j])))
+        if basis[k, j] < 0.0:
+            basis[:, j] = -basis[:, j]
+    return basis
+
+
+class TestColumnSigns:
+    """The batched sign fix is bit-identical to the per-column loop."""
+
+    def test_random_matrices(self, rng):
+        for shape in [(1, 1), (5, 3), (9, 9), (300, 294)]:
+            basis = rng.standard_normal(shape)
+            np.testing.assert_array_equal(
+                linalg._fix_column_signs(basis), fix_signs_loop(basis)
+            )
+
+    def test_tied_magnitudes_use_the_first_entry(self):
+        basis = np.array([
+            [-0.5, 0.5, 0.0, -0.5],
+            [0.5, -0.5, 0.0, 0.5],
+            [0.5, 0.5, -0.0, -0.5],
+        ])
+        fixed = linalg._fix_column_signs(basis)
+        np.testing.assert_array_equal(fixed, fix_signs_loop(basis))
+        np.testing.assert_array_equal(fixed[0], [0.5, 0.5, 0.0, 0.5])
+
+    def test_all_negative_columns(self, rng):
+        basis = -np.abs(rng.standard_normal((6, 4)))
+        fixed = linalg._fix_column_signs(basis)
+        np.testing.assert_array_equal(fixed, fix_signs_loop(basis))
+        np.testing.assert_array_equal(fixed, -basis)
+
+    def test_zero_columns(self):
+        fixed = linalg._fix_column_signs(np.zeros((5, 0)))
+        assert fixed.shape == (5, 0)
+
+    def test_input_left_untouched(self, rng):
+        basis = -np.abs(rng.standard_normal((4, 2)))
+        before = basis.copy()
+        linalg._fix_column_signs(basis)
+        np.testing.assert_array_equal(basis, before)
+
+
 def nullspace_of(a):
     """Orthonormal nullspace basis at the default rank tolerance."""
     return linalg.orthonormal_complement(linalg.orthonormal_columns(a.T)[0])

@@ -8,16 +8,27 @@ The key cross-checks:
 * the min-Frobenius-Hessian fit against a weighted-limit oracle (weight
   the gradient less and less in the joint problem and extrapolate),
 * the least-change fit against its exact reduction to the min-Frobenius
-  fit on shifted values.
+  fit on shifted values,
+* the span-coordinate route of mn, mfn and lfu against the dense reference
+  solve of the full system, and its solve shapes,
+* metamorphic properties (row order, rotations, translations, shifted
+  values) that call no reference solver at all.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poised_set, unit_square_set
-from subquad import linalg
+from conftest import (
+    axis_frame,
+    random_poised_set,
+    subspace_set,
+    unit_square_set,
+)
+from subquad import geometry, linalg
 from subquad.errors import (
     DimensionMismatchError,
     InfeasibleError,
@@ -27,10 +38,12 @@ from subquad.errors import (
 from subquad.geometry import (
     FEASIBILITY_RTOL,
     SampleSet,
+    hat_sampleset,
     quadratic_constraint_matrix,
 )
 from subquad.models import (
     QuadraticModel,
+    _reference_fit,
     evaluate,
     fit_dqi,
     fit_lfu,
@@ -335,8 +348,9 @@ def test_model_results_expose_kind(square):
 
 class TestLargeDimension:
     """At ``n = 200`` the stacked system has 20300 unknowns; a fit must
-    stay thin (no ``cols x cols`` factor) and still match the subspace
-    route: detect, hat, fit in ``d = 6`` coordinates, lift."""
+    stay thin (no ``cols x cols`` factor), match the public subspace
+    route (detect, hat, fit in ``d = 6`` coordinates, lift) and match the
+    dense reference solve of the full system."""
 
     @pytest.fixture
     def wide_set(self, rng):
@@ -377,6 +391,14 @@ class TestLargeDimension:
         h_scale = max(1.0, float(np.linalg.norm(lifted.model.H)))
         assert np.linalg.norm(g - lifted.model.g) <= 1e-8 * g_scale
         assert np.linalg.norm(h - lifted.model.H) <= 1e-8 * h_scale
+
+        reference = _reference_fit(kind, wide_set, full.reference_hessian)
+        assert np.linalg.norm(g - reference.model.g) <= 1e-10 * g_scale
+        assert np.linalg.norm(h - reference.model.H) <= 1e-10 * h_scale
+        np.testing.assert_array_equal(
+            full.gradients.ambiguity_basis,
+            reference.gradients.ambiguity_basis,
+        )
 
 
 def collinear_inconsistent_set():
@@ -530,3 +552,254 @@ class TestPermutationInvariance:
             span_gap = np.linalg.norm(pa @ pa.T - pb @ pb.T)
             span_tol = 16 * max(disp.shape) * eps * effective_cond(disp)
             assert span_gap <= span_tol, kind
+
+
+def fit_kind(kind, sample_set, href, **kwargs):
+    if kind == "mn":
+        return fit_mn(sample_set, **kwargs)
+    if kind == "mfn":
+        return fit_mfn(sample_set, **kwargs)
+    return fit_lfu(sample_set, href, **kwargs)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Column counts of every constraint matrix built and every matrix
+    handed to the min-norm solver while the fixture is active, and the
+    rank tolerance each solve received."""
+    record = SimpleNamespace(widths=[], rank_tols=[])
+    build = geometry.quadratic_constraint_matrix
+    solve = linalg.minnorm_lstsq
+
+    def recording_build(displacements):
+        matrix = build(displacements)
+        record.widths.append(matrix.shape[1])
+        return matrix
+
+    def recording_solve(a, b, rank_tol=None):
+        record.widths.append(np.shape(a)[1])
+        record.rank_tols.append(rank_tol)
+        return solve(a, b, rank_tol)
+
+    monkeypatch.setattr(geometry, "quadratic_constraint_matrix",
+                        recording_build)
+    monkeypatch.setattr(linalg, "minnorm_lstsq", recording_solve)
+    return record
+
+
+class TestSpanRoute:
+    """Full-space mn, mfn and lfu fits solve the ``r``-dimensional system
+    of the displacement span and lift; the dense solve of the full system
+    is their fallback and reference."""
+
+    def test_solves_stay_in_span_dimensions(self, rng, solves):
+        n, d, m = 200, 6, 20
+        sample_set = subspace_set(rng, n, d, m)
+        href = linalg.sym_part(rng.standard_normal((n, n)))
+        for kind in ("mn", "mfn", "lfu"):
+            fit_kind(kind, sample_set, href)
+        # mn builds and solves one stacked matrix; mfn and lfu solve one
+        # multiplier system each
+        assert len(solves.widths) == 4
+        assert max(solves.widths) <= max(d + d * (d + 1) // 2, m + d)
+        # the rank cutoff is the one the dense n-dimensional system uses
+        stacked = linalg.default_rank_tol(m, n + n * (n + 1) // 2)
+        multipliers = linalg.default_rank_tol(m + n, m + n)
+        assert solves.rank_tols == [stacked, multipliers, multipliers]
+
+    @pytest.mark.parametrize("n,d,m", [(40, 2, 5), (80, 6, 20), (200, 6, 20)])
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu"])
+    def test_matches_dense_reference(self, rng, n, d, m, kind):
+        sample_set = subspace_set(rng, n, d, m)
+        href = linalg.sym_part(rng.standard_normal((n, n)))
+        fitted = fit_kind(kind, sample_set, href)
+        reference = _reference_fit(kind, sample_set, href)
+        size = np.hypot(np.linalg.norm(reference.model.g),
+                        np.linalg.norm(reference.model.H))
+        assert np.linalg.norm(fitted.model.g - reference.model.g) <= (
+            1e-10 * size
+        )
+        assert np.linalg.norm(fitted.model.H - reference.model.H) <= (
+            1e-10 * size
+        )
+        np.testing.assert_array_equal(
+            fitted.gradients.ambiguity_basis,
+            reference.gradients.ambiguity_basis,
+        )
+
+    @pytest.mark.parametrize("name", ["poised", "hatted-square", "full-rank"])
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu"])
+    def test_full_span_sets_are_bitwise_dense(self, name, kind):
+        if name == "poised":
+            sample_set = poised_quadratic_set()
+        elif name == "hatted-square":
+            sample_set = hat_sampleset(unit_square_set(), axis_frame())
+        else:
+            sample_set = subspace_set(np.random.default_rng(3), 4, 4, 8)
+        href = np.eye(sample_set.n)
+        fitted = fit_kind(kind, sample_set, href)
+        reference = _reference_fit(kind, sample_set, href)
+        np.testing.assert_array_equal(fitted.model.g, reference.model.g)
+        np.testing.assert_array_equal(fitted.model.H, reference.model.H)
+        np.testing.assert_array_equal(
+            fitted.gradients.ambiguity_basis,
+            reference.gradients.ambiguity_basis,
+        )
+
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu"])
+    def test_data_off_the_span_takes_the_dense_path(self, kind, solves):
+        """Steps in three directions of R^5, one of them 1e-6 short: the
+        default rank rule keeps all three and the span route runs; a
+        ``rank_tol`` of 1e-3 drops the short one, the steps then leave the
+        two-dimensional span by 1e-6 relative (beyond ``SUBSPACE_RTOL``),
+        and the fit is the dense solve at that tolerance."""
+        rng = np.random.default_rng(5)
+        n, m = 5, 4
+        disp = np.zeros((m, n))
+        disp[:, :3] = rng.standard_normal((m, 3)) * [1.0, 1.0, 1e-6]
+        values = np.concatenate([[0.0], np.sin(disp).sum(axis=1)])
+        sample_set = SampleSet(np.zeros(n), disp, values)
+        href = np.eye(n)
+        dense_width = n + n * (n + 1) // 2 if kind == "mn" else m + n
+
+        fit_kind(kind, sample_set, href)
+        assert max(solves.widths) < dense_width
+
+        solves.widths.clear()
+        loose = {"rank_tol": 1e-3, "feas_tol": 1e-3}
+        fitted = fit_kind(kind, sample_set, href, **loose)
+        assert max(solves.widths) == dense_width
+        reference = _reference_fit(kind, sample_set, href, **loose)
+        np.testing.assert_array_equal(fitted.model.g, reference.model.g)
+        np.testing.assert_array_equal(fitted.model.H, reference.model.H)
+
+
+def fit_bounds(disp):
+    """Error-model bounds ``16 N eps kappa`` of the fits (see
+    :class:`TestPermutationInvariance`), and of the ambiguity span."""
+    n = disp.shape[1]
+    gram = disp @ disp.T
+    multipliers = np.block([
+        [0.5 * gram * gram, disp], [disp.T, np.zeros((n, n))],
+    ])
+    eps = np.finfo(float).eps
+    bounds = {
+        kind: 16 * max(system.shape) * eps * effective_cond(system)
+        for kind, system in (
+            ("mn", quadratic_constraint_matrix(disp)),
+            ("mfn", multipliers), ("lfu", multipliers),
+        )
+    }
+    return bounds, 16 * max(disp.shape) * eps * effective_cond(disp)
+
+
+def planted_quadratic(rng, n, d, m):
+    """Steps in a random ``d``-dimensional subspace of R^n with the values
+    of a random quadratic (so every fit is feasible), and a reference
+    Hessian."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    disp = rng.standard_normal((m, d)) @ basis.T
+    g = rng.standard_normal(n)
+    h = linalg.sym_part(rng.standard_normal((n, n)))
+    values = np.concatenate([
+        [0.5], 0.5 + disp @ g + 0.5 * ((disp @ h) * disp).sum(axis=1),
+    ])
+    href = linalg.sym_part(rng.standard_normal((n, n)))
+    return rng.standard_normal(n), disp, values, href
+
+
+def model_gap(a_g, a_h, b_g, b_h):
+    return np.hypot(np.linalg.norm(a_g - b_g), np.linalg.norm(a_h - b_h))
+
+
+shapes = st.tuples(
+    st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 5),
+    st.integers(-20, 2),
+)
+
+
+def draw_shape(n, drop, extra):
+    d = max(1, n - drop)
+    return d, max(1, d * (d + 3) // 2 + extra)
+
+
+class TestMetamorphicProperties:
+    """Properties of the fitted problem itself, checked without any
+    reference solver; they share no code with the choice of basis.
+
+    Tolerances follow the error model of :class:`TestPermutationInvariance`:
+    ``16 N eps kappa`` relative to the model size, widened for a value
+    shift by the rounding it adds to the value differences.
+    """
+
+    @given(shape=shapes)
+    @settings(max_examples=50, deadline=None)
+    def test_rotation_covariance(self, shape):
+        seed, n, drop, extra = shape
+        rng = np.random.default_rng(seed)
+        d, m = draw_shape(n, drop, extra)
+        x0, disp, values, href = planted_quadratic(rng, n, d, m)
+        rot, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        base = SampleSet(x0, disp, values)
+        turned = SampleSet(rot @ x0, disp @ rot.T, values)
+        turned_href = linalg.sym_part(rot @ href @ rot.T)
+        bounds, span_bound = fit_bounds(disp)
+        for kind in ("mn", "mfn", "lfu"):
+            a = fit_kind(kind, base, href)
+            b = fit_kind(kind, turned, turned_href)
+            size = np.hypot(np.linalg.norm(a.model.g),
+                            np.linalg.norm(a.model.H))
+            gap = model_gap(rot @ a.model.g, rot @ a.model.H @ rot.T,
+                            b.model.g, b.model.H)
+            assert gap <= bounds[kind] * size, kind
+            pa = rot @ a.gradients.ambiguity_basis
+            pb = b.gradients.ambiguity_basis
+            assert np.linalg.norm(pa @ pa.T - pb @ pb.T) <= span_bound, kind
+
+    @given(shape=shapes, shift=st.floats(-1e3, 1e3))
+    @settings(max_examples=50, deadline=None)
+    def test_translating_x0_changes_nothing(self, shape, shift):
+        seed, n, drop, extra = shape
+        rng = np.random.default_rng(seed)
+        d, m = draw_shape(n, drop, extra)
+        x0, disp, values, href = planted_quadratic(rng, n, d, m)
+        moved_x0 = x0 + shift * rng.standard_normal(n)
+        base = SampleSet(x0, disp, values)
+        moved = SampleSet(moved_x0, disp, values)
+        for kind in ("mn", "mfn", "lfu"):
+            a = fit_kind(kind, base, href)
+            b = fit_kind(kind, moved, href)
+            np.testing.assert_array_equal(b.model.x0, moved_x0)
+            assert b.model.c == a.model.c
+            np.testing.assert_array_equal(b.model.g, a.model.g)
+            np.testing.assert_array_equal(b.model.H, a.model.H)
+            np.testing.assert_array_equal(
+                b.gradients.ambiguity_basis, a.gradients.ambiguity_basis
+            )
+
+    @given(shape=shapes, c=st.floats(-1e3, 1e3))
+    @settings(max_examples=50, deadline=None)
+    def test_shifting_values_changes_only_c(self, shape, c):
+        seed, n, drop, extra = shape
+        rng = np.random.default_rng(seed)
+        d, m = draw_shape(n, drop, extra)
+        x0, disp, values, href = planted_quadratic(rng, n, d, m)
+        base = SampleSet(x0, disp, values)
+        shifted = SampleSet(x0, disp, values + c)
+        # the differences f(x0 + d_i) - f(x0) pick up a rounding error of
+        # about eps (|c| + max |values|) each
+        delta = np.linalg.norm(base.delta)
+        spread = np.sqrt(m) * (abs(c) + np.max(np.abs(values)))
+        widen = 1.0 + spread / max(delta, np.finfo(float).tiny)
+        bounds, _ = fit_bounds(disp)
+        for kind in ("mn", "mfn", "lfu"):
+            a = fit_kind(kind, base, href)
+            b = fit_kind(kind, shifted, href)
+            assert b.model.c == shifted.values[0]
+            size = np.hypot(np.linalg.norm(a.model.g),
+                            np.linalg.norm(a.model.H))
+            gap = model_gap(a.model.g, a.model.H, b.model.g, b.model.H)
+            assert gap <= bounds[kind] * widen * size, kind
+            np.testing.assert_array_equal(
+                b.gradients.ambiguity_basis, a.gradients.ambiguity_basis
+            )
