@@ -5,10 +5,12 @@ subspace) the fitted objects convert as
 
 * minimum-norm:       ``g = Q ghat``, ``H = Q Hhat Q^T``;
 * minimum-Frobenius:  ``H = Q Hhat Q^T`` and the full gradient family is
-  ``{Q ahat : ahat in subspace family} + col(Q)^perp``;
+  ``{Q ahat : ahat in subspace family} + col(Q)^perp``, held with
+  ``col(Q)^perp`` implicit (see :class:`~subquad.models.GradientFamily`);
 * least-change:       ``H = Q Hhat Q^T + Href - P Href P`` with
   ``P = Q Q^T`` (the correction vanishes iff ``Href`` is supported on the
-  subspace);
+  subspace); ``P Href P`` is formed as ``Q (Q^T Href Q) Q^T``, never
+  through the ``n x n`` projector;
 * simplex gradient/Hessian: ``g = Q ghat`` and ``H = Q Hhat Q^T`` whenever
   the stencil directions lie in ``col(Q)``.
 
@@ -94,10 +96,10 @@ def _check_sub_result(sub: ModelResult, frame: SubspaceFrame, kinds):
 
 def _lift_family(family: GradientFamily,
                  frame: SubspaceFrame) -> GradientFamily:
-    """Lift a subspace gradient family and append the complement basis."""
-    lifted = frame.Q @ family.ambiguity_basis
-    ambiguity = np.hstack([lifted, frame.complement])
-    return GradientFamily(frame.Q @ family.canonical, ambiguity)
+    """Lift a subspace gradient family; ``col(Q)^perp`` joins it implicitly."""
+    return GradientFamily(
+        frame.Q @ family.canonical, frame.Q @ family.ambiguity_basis, frame.Q
+    )
 
 
 def lift_mn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
@@ -161,8 +163,7 @@ def lift_lfu(sub: ModelResult, frame: SubspaceFrame,
         raise ReferenceMismatchError(
             f"stored subspace reference differs from Q^T Href Q by {drift:.3e}"
         )
-    projector = frame.Q @ frame.Q.T
-    correction = href - projector @ href @ projector
+    correction = href - frame.Q @ restricted @ frame.Q.T
     hess = linalg.sym_part(
         frame.Q @ sub.model.H @ frame.Q.T + correction
     )
@@ -332,10 +333,12 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
                 orth_gap, abs(full_model(on_subspace + v) - sub_value)
             )
     base_value = sub_model(np.zeros(frame.d))
-    comp_gaps = np.array([
-        abs(full_model(frame.x0 + complement[:, j]) - base_value)
-        for j in range(n_comp)
-    ])
+    # full_model at x0 + complement[:, j], every column in one product
+    steps = (frame.x0[:, None] + complement) - full_model.x0[:, None]
+    comp_values = full_model.c + full_model.g @ steps + 0.5 * np.sum(
+        (full_model.H @ steps) * steps, axis=0
+    )
+    comp_gaps = np.abs(comp_values - base_value)
     if n_comp:
         orth_gap = max(orth_gap, float(np.max(comp_gaps)))
     else:
@@ -343,8 +346,8 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
 
     lifted_g = frame.Q @ sub_model.g
     lifted_h = frame.Q @ sub_model.H @ frame.Q.T
-    projector = frame.Q @ frame.Q.T
-    correction = full_model.H - projector @ full_model.H @ projector
+    restricted = frame.Q.T @ full_model.H @ frame.Q
+    correction = full_model.H - frame.Q @ restricted @ frame.Q.T
     return ConversionReport(
         gradient_gap=float(np.linalg.norm(full_model.g - lifted_g)),
         hessian_gap=float(np.linalg.norm(full_model.H - lifted_h)),

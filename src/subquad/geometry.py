@@ -112,11 +112,13 @@ class SampleSet:
                 f"expected {disp.shape[0] + 1} values "
                 f"(x0 plus one per displacement), got {values.shape[0]}"
             )
-        norms = np.linalg.norm(disp, axis=1)
-        if np.any(norms == 0.0):
+        # judged on the entries: a row norm squares them, and a step of
+        # size 1e-170 would underflow to a zero norm
+        if np.any(np.max(np.abs(disp), axis=1) == 0.0):
             raise DuplicatePointError(
                 "zero displacement duplicates the base point"
             )
+        norms = np.linalg.norm(disp, axis=1)
         disp, values = _merge_duplicates(disp, values, norms)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "displacements", disp)

@@ -5,6 +5,12 @@ double uniquely: reading a file back reproduces the in-memory coefficients
 bit for bit. Matrices are nested row-major lists. Float arrays are rendered
 a row at a time, in one formatting call per row, and the bytes match
 ``format_real`` applied element by element.
+
+A model's gradient ambiguity is written in the form its
+:class:`~subquad.models.GradientFamily` holds: an explicit basis as an
+array, an implicit one as ``{"lifted": E, "complement_of": K}`` (about half
+the floats of ``[E, orthonormal_complement(K)]``). The loader reads both; a
+reader of the array form alone rejects the object as not numeric.
 """
 
 from __future__ import annotations
@@ -174,6 +180,13 @@ def save_sampleset(path, sample_set: SampleSet,
 # models
 
 
+def _basis_rows(value, name, n, path) -> np.ndarray:
+    basis = _as_array(value, name, path)
+    if basis.ndim != 2 or basis.shape[0] != n:
+        raise FileFormatError(f"{path}: {name} must have {n} rows")
+    return basis
+
+
 def model_to_dict(result: ModelResult, config: dict | None = None):
     model = result.model
     doc = {
@@ -184,8 +197,13 @@ def model_to_dict(result: ModelResult, config: dict | None = None):
         "g": model.g,
         "H": model.H,
     }
-    if result.gradients.ambiguity_basis.shape[1]:
-        doc["ambiguity_basis"] = result.gradients.ambiguity_basis
+    family = result.gradients
+    if family.dim and family.complement_of is None:
+        doc["ambiguity_basis"] = family.explicit
+    elif family.dim:
+        doc["ambiguity_basis"] = {
+            "lifted": family.explicit, "complement_of": family.complement_of,
+        }
     if result.reference_hessian is not None:
         doc["href"] = result.reference_hessian
     if result.correction_applied is not None:
@@ -220,14 +238,20 @@ def load_model(path) -> ModelResult:
     if isinstance(constant, bool) or not isinstance(constant, (int, float)):
         raise FileFormatError(f"{path}: field 'c' must be a real number")
     model = QuadraticModel(x0, float(constant), grad, hess)
-    if "ambiguity_basis" in doc:
-        ambiguity = _as_array(doc["ambiguity_basis"], "ambiguity_basis", path)
-        if ambiguity.ndim != 2 or ambiguity.shape[0] != n:
+    ambiguity = doc.get("ambiguity_basis", np.zeros((n, 0)))
+    kernel = None
+    if isinstance(ambiguity, dict):
+        unknown = sorted(set(ambiguity) - {"lifted", "complement_of"})
+        if unknown:
             raise FileFormatError(
-                f"{path}: ambiguity basis must have {n} rows"
+                f"{path}: unknown ambiguity_basis fields {unknown}"
             )
+        explicit = _basis_rows(_need(ambiguity, "lifted", path),
+                               "ambiguity_basis.lifted", n, path)
+        kernel = _basis_rows(_need(ambiguity, "complement_of", path),
+                             "ambiguity_basis.complement_of", n, path)
     else:
-        ambiguity = np.zeros((n, 0))
+        explicit = _basis_rows(ambiguity, "ambiguity_basis", n, path)
     href = None
     if "href" in doc:
         href = _as_array(doc["href"], "href", path)
@@ -239,7 +263,7 @@ def load_model(path) -> ModelResult:
             f"{path}: field 'correction_applied' must be true or false"
         )
     return ModelResult(
-        model, GradientFamily(grad, ambiguity), kind,
+        model, GradientFamily(grad, explicit, kernel), kind,
         reference_hessian=href, correction_applied=correction,
     )
 

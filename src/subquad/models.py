@@ -15,6 +15,9 @@ Four constructions share the interpolation constraints
 
 Whenever the gradient is non-unique the full solution set is the canonical
 (minimum-norm) gradient plus the span of an orthonormal ambiguity basis.
+``fit_mfn`` and ``fit_lfu`` hold that basis implicitly, as the orthogonal
+complement of the span of the displacements (see :class:`GradientFamily`),
+and build it only when it is read.
 
 Full-space ``fit_mn``, ``fit_mfn`` and ``fit_lfu`` are solved in the
 coordinates of the span of the displacements: with ``Q`` an orthonormal
@@ -35,6 +38,7 @@ one of the caller's values by more than ``feas_tol * max(1, max |values|)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,35 +102,73 @@ class QuadraticModel:
 class GradientFamily:
     """Affine family ``canonical + ambiguity_basis @ coeffs`` of gradients.
 
-    ``canonical`` is the minimum-Euclidean-norm member; the basis columns
-    are orthonormal (possibly zero of them, in which case the gradient is
-    unique).
+    ``canonical`` is the minimum-Euclidean-norm member. The free directions
+    are ``col(explicit)``, plus ``col(complement_of)^perp`` in the implicit
+    form, so a fit in a ``k``-dimensional span of ``R^n`` need not hold the
+    ``n x (n - k)`` complement. Both bases have orthonormal columns and
+    ``col(explicit)`` lies in ``col(complement_of)``; the checks cost
+    ``O(n k^2 + n e^2)``. ``ambiguity_basis`` is ``[explicit,
+    orthonormal_complement(complement_of)]``, built on first read.
+    ``GradientFamily(canonical, basis)`` is the explicit form.
     """
 
     canonical: np.ndarray
-    ambiguity_basis: np.ndarray
+    explicit: np.ndarray
+    complement_of: np.ndarray | None = None
 
     def __post_init__(self):
         canonical = linalg.as_vector(self.canonical, "canonical gradient")
-        basis = linalg.as_matrix(self.ambiguity_basis, "ambiguity basis")
-        if basis.shape[0] != canonical.shape[0]:
+        n = canonical.shape[0]
+        explicit = linalg.as_matrix(self.explicit, "ambiguity basis")
+        if explicit.shape[0] != n:
             raise DimensionMismatchError(
-                f"ambiguity basis rows ({basis.shape[0]}) must match the "
-                f"gradient dimension ({canonical.shape[0]})"
+                f"ambiguity basis rows ({explicit.shape[0]}) must match the "
+                f"gradient dimension ({n})"
             )
-        if basis.shape[1]:
-            defect = np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]))
-            if defect > 1e-10:
+        _require_orthonormal(explicit, "ambiguity basis")
+        kernel = self.complement_of
+        if kernel is not None:
+            kernel = linalg.as_matrix(kernel, "complemented basis")
+            if kernel.shape[0] != n or kernel.shape[1] > n:
                 raise DimensionMismatchError(
-                    "ambiguity basis columns are not orthonormal"
+                    f"complemented basis of shape {kernel.shape} does not "
+                    f"fit the gradient dimension ({n})"
+                )
+            _require_orthonormal(kernel, "complemented basis")
+            outside = np.linalg.norm(explicit - kernel @ (kernel.T @ explicit))
+            if outside > linalg.ORTHONORMALITY_TOL:
+                raise DimensionMismatchError(
+                    "ambiguity basis columns leave the complemented basis "
+                    f"span by {outside:.3e}"
                 )
         object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "ambiguity_basis", basis)
+        object.__setattr__(self, "explicit", explicit)
+        object.__setattr__(self, "complement_of", kernel)
 
     @property
     def dim(self) -> int:
         """Number of free directions in the family."""
-        return self.ambiguity_basis.shape[1]
+        free = self.explicit.shape[1]
+        if self.complement_of is not None:
+            free += self.complement_of.shape[0] - self.complement_of.shape[1]
+        return free
+
+    @cached_property
+    def ambiguity_basis(self) -> np.ndarray:
+        """Orthonormal basis of every free direction (``n x dim``)."""
+        kernel = self.complement_of
+        if kernel is None or kernel.shape[1] == kernel.shape[0]:
+            return self.explicit
+        complement = linalg.orthonormal_complement(kernel)
+        if not self.explicit.shape[1]:
+            return complement
+        return np.hstack([self.explicit, complement])
+
+
+def _require_orthonormal(basis: np.ndarray, name: str):
+    defect = np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1]))
+    if defect > linalg.ORTHONORMALITY_TOL:
+        raise DimensionMismatchError(f"{name} columns are not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -272,7 +314,7 @@ def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol,
         hess = linalg.sym_part(href + hess)
     model = QuadraticModel(sample_set.x0, values[0], alpha, hess)
     _require_interpolates(sample_set, model, feas_tol)
-    family = GradientFamily(alpha, linalg.orthonormal_complement(span_basis))
+    family = GradientFamily(alpha, np.zeros((n, 0)), span_basis)
     kind = "mfn" if href is None else "lfu"
     return ModelResult(model, family, kind, reference_hessian=href)
 

@@ -30,7 +30,7 @@ from subquad.geometry import (
     SubspaceFrame,
     hat_sampleset,
 )
-from subquad.models import fit_lfu, fit_mfn, fit_mn
+from subquad.models import QuadraticModel, fit_lfu, fit_mfn, fit_mn
 from subquad.simplex import DirectionBundle, fit_qgsd, gsg, gsh
 
 
@@ -368,3 +368,44 @@ class TestCorrectionFlagScale:
             assert lifted.correction_applied is expected
             report = coincidence_check(lifted, sub, frame, probes=2)
             assert report.correction_applied is expected
+
+
+class TestFactoredProjections:
+    """The lifts and the report take ``P Href P`` as ``Q (Q^T Href Q) Q^T``
+    and the complement probes as one product; both agree with the
+    explicit forms to roundoff."""
+
+    def test_lift_lfu_matches_projector_form(self):
+        rng = np.random.default_rng(301)
+        full_set, frame = planted_instance(rng, n=300, d=6, m=15)
+        href = linalg.sym_part(rng.standard_normal((300, 300)))
+        sub = fit_lfu(hat_sampleset(full_set, frame),
+                      linalg.sym_part(frame.Q.T @ href @ frame.Q))
+        lifted = lift_lfu(sub, frame, href)
+        p = frame.Q @ frame.Q.T
+        want = linalg.sym_part(
+            frame.Q @ sub.model.H @ frame.Q.T + (href - p @ href @ p)
+        )
+        gap = np.linalg.norm(lifted.model.H - want)
+        assert gap <= 1e-14 * np.linalg.norm(href)
+        assert lifted.correction_applied is True
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_complement_probes_match_pointwise_values(self, rng, shift):
+        """One probe per complement column, for a model anchored at the
+        frame's base point and for the same quadratic anchored elsewhere."""
+        full_set, frame = planted_instance(rng, n=40, d=3, m=6)
+        sub = fit_lfu(hat_sampleset(full_set, frame), np.eye(3))
+        model = lift_lfu(sub, frame, np.eye(40)).model
+        x1 = model.x0 + shift * rng.standard_normal(40)
+        step = x1 - model.x0
+        moved = QuadraticModel(x1, model(x1), model.g + model.H @ step,
+                               model.H)
+        report = coincidence_check(moved, sub, frame, probes=2)
+        base = sub.model(np.zeros(3))
+        want = [abs(moved(frame.x0 + c) - base) for c in frame.complement.T]
+        assert len(report.complement_probe_gaps) == 37
+        np.testing.assert_allclose(
+            report.complement_probe_gaps, want, rtol=0,
+            atol=1e-13 * max(1.0, abs(base)),
+        )

@@ -73,6 +73,24 @@ class TestSampleSet:
                 np.array([0.0, 0.0, 1.0]),
             )
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300, 5e-324])
+    def test_tiny_step_is_not_a_zero_displacement(self, scale):
+        """The squares of these entries underflow, so their row norm is
+        zero; the steps themselves are not."""
+        disp = scale * np.array([[1.0, -2.0, 0.0]])
+        ss = SampleSet(np.zeros(3), disp, np.array([0.0, 1.0]))
+        assert ss.m == 1
+        np.testing.assert_array_equal(ss.displacements, disp)
+
+    def test_tiny_steps_follow_the_absolute_cutoff(self, rng):
+        """Below size 1, steps closer than ``DEDUP_RTOL`` coincide: at
+        1e-170 a set merges into its first step, or conflicts."""
+        disp = 1e-170 * rng.standard_normal((4, 3))
+        merged = SampleSet(np.zeros(3), disp, np.ones(5))
+        np.testing.assert_array_equal(merged.displacements, disp[:1])
+        with pytest.raises(DuplicatePointError, match="conflicting values"):
+            SampleSet(np.zeros(3), disp, np.arange(5.0))
+
     def test_duplicate_with_equal_values_merges(self):
         ss = SampleSet(
             np.zeros(2),

@@ -6,6 +6,7 @@ byte for byte to the recursive per-element writer kept in
 a save/load round trip is bit-exact.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,12 +17,16 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import axis_frame, unit_square_set
 from reference_writer import reference_dumps
-from subquad import io
+from subquad import io, linalg
 from subquad.bridge import lift_mfn
 from subquad.cli import main
-from subquad.errors import FileFormatError
+from subquad.errors import (
+    DimensionMismatchError,
+    FileFormatError,
+    SubquadError,
+)
 from subquad.geometry import SampleSet, detect_subspace, hat_sampleset
-from subquad.models import fit_mfn
+from subquad.models import GradientFamily, fit_mfn
 from subquad.simplex import DirectionBundle
 
 #: Reals at the edges of the writer's rules: signed zeros, integral floats
@@ -264,3 +269,126 @@ class TestTypedLoaderErrors:
                      "--out", str(tmp_path / "out.json")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _explicit(result):
+    """``result`` with its ambiguity held as one explicit basis, the form
+    every model file took before the implicit one."""
+    family = result.gradients
+    return dataclasses.replace(result, gradients=GradientFamily(
+        family.canonical, family.ambiguity_basis
+    ))
+
+
+def _malformed(name, explicit, kernel):
+    """``(array-form value, object-form value)`` of ``ambiguity_basis``, both
+    broken the same way."""
+    n = kernel.shape[0]
+    complement = linalg.orthonormal_complement(kernel)
+    basis = np.hstack([explicit, complement])
+    wide = np.hstack([np.eye(n), np.eye(n)[:, :1]])
+    new = {"lifted": explicit, "complement_of": kernel}
+    if name == "non-numeric":
+        return "abc", {**new, "complement_of": "abc"}
+    if name == "rows":
+        return basis[:-1], {**new, "complement_of": kernel[:-1]}
+    if name == "k > n":
+        return wide, {**new, "complement_of": wide}
+    if name == "not orthonormal":
+        return 2.0 * basis, {**new, "complement_of": 2.0 * kernel}
+    if name == "outside span":
+        return (np.hstack([complement[:, :1], complement]),
+                {**new, "lifted": complement[:, :1]})
+    if name == "unknown key":
+        return "abc", {**new, "extra": [1.0]}
+    assert name == "missing key"
+    return "abc", {"complement_of": kernel}
+
+
+class TestImplicitAmbiguity:
+    """Lifted and least-change models write ``{"lifted": E,
+    "complement_of": K}`` for the ambiguity ``col(E) + col(K)^perp``."""
+
+    def test_lifted_model_writes_the_implicit_form(self):
+        result = _lifted_mfn()
+        doc = io.model_to_dict(result)["ambiguity_basis"]
+        assert set(doc) == {"lifted", "complement_of"}
+        assert doc["lifted"].shape == (300, 0)
+        assert doc["complement_of"].shape == (300, 4)
+
+    def test_round_trip_keeps_the_form_bit_exactly(self, tmp_path):
+        result = _lifted_mfn()
+        path = tmp_path / "lifted.json"
+        io.save_model(str(path), result)
+        family = io.load_model(str(path)).gradients
+        assert family.dim == result.gradients.dim
+        np.testing.assert_array_equal(
+            _bits(family.complement_of), _bits(result.gradients.complement_of)
+        )
+        assert family.explicit.shape == (300, 0)
+
+    def test_array_form_loads_bit_exactly(self, tmp_path):
+        result = _lifted_mfn()
+        path = tmp_path / "old.json"
+        path.write_text(
+            reference_dumps(io.model_to_dict(_explicit(result))) + "\n",
+            encoding="utf-8",
+        )
+        family = io.load_model(str(path)).gradients
+        assert family.complement_of is None
+        np.testing.assert_array_equal(
+            _bits(family.ambiguity_basis),
+            _bits(result.gradients.ambiguity_basis),
+        )
+
+    def test_file_is_at_most_055_of_the_array_form(self):
+        result = _lifted_mfn()
+        implicit = len(io.dumps(io.model_to_dict(result)))
+        explicit = len(io.dumps(io.model_to_dict(_explicit(result))))
+        assert implicit <= 0.55 * explicit
+
+    def test_fit_lift_save_load_builds_no_complement(self, tmp_path,
+                                                     monkeypatch):
+        calls = []
+        complement = linalg.orthonormal_complement
+        monkeypatch.setattr(linalg, "orthonormal_complement",
+                            lambda q: calls.append(q.shape) or complement(q))
+        result = _lifted_mfn()
+        path = tmp_path / "lifted.json"
+        io.save_model(str(path), result)
+        assert io.load_model(str(path)).gradients.dim == 296
+        assert calls == []
+        assert result.gradients.ambiguity_basis.shape == (300, 296)
+        assert calls == [(300, 4)]
+
+    @pytest.mark.parametrize("name,error", [
+        ("non-numeric", FileFormatError),
+        ("rows", FileFormatError),
+        ("k > n", DimensionMismatchError),
+        ("not orthonormal", DimensionMismatchError),
+        ("outside span", DimensionMismatchError),
+        ("unknown key", FileFormatError),
+        ("missing key", FileFormatError),
+    ])
+    def test_malformed_field_fails_as_the_array_form_does(
+            self, tmp_path, capsys, name, error):
+        result = _lifted_mfn(n=6, d=2, m=3)
+        frame_path = tmp_path / "frame.json"
+        io.save_frame(str(frame_path), axis_frame())
+        family = result.gradients
+        codes = []
+        for value in _malformed(name, family.explicit, family.complement_of):
+            path = tmp_path / "model.json"
+            doc = io.model_to_dict(result)
+            doc["ambiguity_basis"] = value
+            io.write_document(str(path), doc)
+            with pytest.raises(SubquadError) as caught:
+                io.load_model(str(path))
+            assert type(caught.value) is error
+            codes.append(main([
+                "subspace", "restrict", "--model", str(path),
+                "--frame", str(frame_path), "--out", str(tmp_path / "o.json"),
+            ]))
+            assert "error:" in capsys.readouterr().err
+        assert codes[0] == codes[1] == (1 if error is FileFormatError else 2)
+        assert not (tmp_path / "o.json").exists()

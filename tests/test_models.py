@@ -42,6 +42,7 @@ from subquad.geometry import (
     quadratic_constraint_matrix,
 )
 from subquad.models import (
+    GradientFamily,
     QuadraticModel,
     _reference_fit,
     evaluate,
@@ -267,6 +268,53 @@ class TestMinFrobeniusHessian:
         result = fit_mfn(square)
         amb = result.gradients.ambiguity_basis
         np.testing.assert_allclose(amb.T @ result.gradients.canonical, 0.0, atol=1e-12)
+
+
+class TestImplicitFamily:
+    """mfn and lfu hold ``col(span)^perp`` by the span's basis ``K``."""
+
+    @pytest.mark.parametrize("kind", ["mfn", "lfu"])
+    def test_lazy_basis_is_the_complement(self, rng, kind):
+        ss = subspace_set(rng, 12, 3, 5)
+        result = fit_kind(kind, ss, np.eye(12))
+        family = result.gradients
+        span = linalg.orthonormal_columns(ss.displacements.T)[0]
+        np.testing.assert_array_equal(family.complement_of, span)
+        assert family.explicit.shape == (12, 0)
+        assert family.dim == 9
+        assert "ambiguity_basis" not in vars(family)
+        np.testing.assert_array_equal(
+            family.ambiguity_basis, linalg.orthonormal_complement(span)
+        )
+        assert family.ambiguity_basis is family.ambiguity_basis
+
+    def test_full_span_leaves_no_ambiguity(self, rng):
+        ss = SampleSet(np.zeros(3), rng.standard_normal((5, 3)),
+                       rng.standard_normal(6))
+        family = fit_mfn(ss).gradients
+        assert family.complement_of.shape == (3, 3)
+        assert family.dim == 0
+        assert family.ambiguity_basis.shape == (3, 0)
+
+    def test_lifted_part_comes_first(self):
+        kernel = np.eye(4)[:, :2]
+        family = GradientFamily(np.zeros(4), np.eye(4)[:, 1:2], kernel)
+        assert family.dim == 3
+        np.testing.assert_array_equal(family.ambiguity_basis, np.hstack(
+            [np.eye(4)[:, 1:2], linalg.orthonormal_complement(kernel)]
+        ))
+
+    @pytest.mark.parametrize("explicit,kernel", [
+        (np.zeros((4, 0)), 2.0 * np.eye(4)[:, :2]),        # K not orthonormal
+        (np.zeros((4, 0)), np.hstack([np.eye(4), np.eye(4)[:, :1]])),  # k > n
+        (np.zeros((4, 0)), np.eye(5)[:, :2]),              # K rows
+        (np.eye(4)[:, 3:], np.eye(4)[:, :2]),              # E outside col(K)
+        (2.0 * np.eye(4)[:, :1], np.eye(4)[:, :2]),        # E not orthonormal
+        (np.eye(5)[:, :1], np.eye(4)[:, :2]),              # E rows
+    ])
+    def test_checks(self, explicit, kernel):
+        with pytest.raises(DimensionMismatchError):
+            GradientFamily(np.zeros(4), explicit, kernel)
 
 
 class TestLeastChange:
