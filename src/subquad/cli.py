@@ -47,6 +47,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _count(least: int):
+    """argparse type: an integer no smaller than ``least``."""
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}"
+            )
+        return value
+    return count
+
+
 def _echo_config(command: str, config: dict) -> None:
     print(f"config {io.dumps({'command': command, **config})}")
 
@@ -292,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--sub", required=True, help="subspace model")
     compare.add_argument("--frame", required=True)
     compare.add_argument("--out", default=None, help="report file")
-    compare.add_argument("--probes", type=int, default=16)
+    compare.add_argument("--probes", type=_count(0), default=16)
     compare.add_argument("--seed", type=int, default=0)
     compare.set_defaults(func=_cmd_subspace_compare)
 
@@ -300,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run randomized conversion suites"
     )
     verify.add_argument("--theorem", default="all", choices=VERIFY_CHOICES)
-    verify.add_argument("--trials", type=int, default=200)
+    verify.add_argument("--trials", type=_count(1), default=200)
     verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--tol", type=float, default=1e-8)
-    verify.add_argument("--probes", type=int, default=8)
+    verify.add_argument("--tol", type=float, default=harness.VERIFY_TOL)
+    verify.add_argument("--probes", type=_count(0), default=8)
     verify.add_argument("--out-dir", default=None,
                         help="directory for per-trial tables + summary")
     verify.set_defaults(func=_cmd_verify)

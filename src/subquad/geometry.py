@@ -112,13 +112,11 @@ class SampleSet:
                 f"expected {disp.shape[0] + 1} values "
                 f"(x0 plus one per displacement), got {values.shape[0]}"
             )
-        # judged on the entries: a row norm squares them, and a step of
-        # size 1e-170 would underflow to a zero norm
-        if np.any(np.max(np.abs(disp), axis=1) == 0.0):
+        norms = _row_norms(disp)
+        if np.any(norms == 0.0):
             raise DuplicatePointError(
                 "zero displacement duplicates the base point"
             )
-        norms = np.linalg.norm(disp, axis=1)
         disp, values = _merge_duplicates(disp, values, norms)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "displacements", disp)
@@ -152,6 +150,15 @@ class SampleSet:
         return np.vstack([self.x0, self.x0 + self.displacements])
 
 
+def _row_norms(rows) -> np.ndarray:
+    """Euclidean row norms, each taken on the row divided by its largest
+    entry: a plain norm squares the entries, so steps of size 1e-170
+    underflow to norm 0 and steps of size 1e160 overflow to inf."""
+    peak = np.max(np.abs(rows), axis=1)
+    scaled = rows / np.where(peak > 0.0, peak, 1.0)[:, None]
+    return peak * np.linalg.norm(scaled, axis=1)
+
+
 def _may_have_duplicates(disp, norms) -> bool:
     """False only when no two displacements can be duplicates.
 
@@ -181,15 +188,13 @@ def _merge_duplicates(disp, values, norms):
         return disp, values
     keep = []
     for i in range(disp.shape[0]):
-        duplicate_of = None
-        for j in keep:
-            gap = np.linalg.norm(disp[i] - disp[j])
-            if gap <= DEDUP_RTOL * max(norms[i], norms[j], 1.0):
-                duplicate_of = j
-                break
-        if duplicate_of is None:
+        gaps = _row_norms(disp[i] - disp[keep])
+        reach = DEDUP_RTOL * np.maximum(norms[keep], max(norms[i], 1.0))
+        close = np.flatnonzero(gaps <= reach)
+        if close.size == 0:
             keep.append(i)
             continue
+        duplicate_of = keep[close[0]]
         vi, vj = values[1 + i], values[1 + duplicate_of]
         if abs(vi - vj) > 1e-12 * max(1.0, abs(vi), abs(vj)):
             raise DuplicatePointError(

@@ -14,8 +14,13 @@ reference solve, not the span route that ``fit_mn``, ``fit_mfn`` and
 lift, so it would be checked against itself. Each trial's gap also covers
 the production full-space fit against the reference.
 
-Trials are independent: every trial derives its own generator seed from
-``(seed, suite, trial)``, so results are reproducible and order-independent.
+Trials are independent: trial ``t`` of a family labelled ``label`` draws
+everything from child seeds ``(seed, label, t, part)``, so results are
+reproducible and order-independent. One loop, ``_trials``, serves every
+suite and negative-control family. A new per-trial draw (a sample radius,
+say) is a new ``InstanceSpec`` field seeded there from a new part, and a
+new tier (a few large-``n`` trials) is one more ``_run_rows`` row with its
+own label and ranges, so every existing draw is kept.
 """
 
 from __future__ import annotations
@@ -61,6 +66,9 @@ GENERATION_RANK_FLOOR = 1e-4
 #: gaps are asserted and the fit noise must sit far below the planted
 #: signal.  Draws are rejected more often; the retry loop absorbs it.
 CONTROL_RANK_FLOOR = 1e-2
+
+#: Default tolerance on a trial's worst normalized gap.
+VERIFY_TOL = 1e-8
 
 _SEED_MASK = (1 << 31) - 1
 
@@ -213,7 +221,7 @@ def _rel(raw: float, scale: float) -> float:
     return float(raw) / max(1.0, float(scale))
 
 
-def _draw_dims(rng, n_range, d_range, determined: bool):
+def _draw_dims(rng, n_range, d_range, determined: bool = False):
     n = int(rng.integers(n_range[0], n_range[1] + 1))
     d_hi = max(1, min(n - 1, d_range[1]))
     d_lo = min(max(1, d_range[0]), d_hi)
@@ -223,23 +231,91 @@ def _draw_dims(rng, n_range, d_range, determined: bool):
     return n, d, m
 
 
+def _underdetermined_dims(rng, n_range, d_range):
+    """``d >= 2`` and ``m = d - 1``: the subspace gradient itself is then
+    ambiguous, so a mismatched pairing exists."""
+    n, d, _ = _draw_dims(rng, n_range, (2, d_range[1]))
+    d = max(2, d)
+    return n, d, d - 1
+
+
 def _function_class(trial: int) -> str:
     return "quadratic" if trial % 2 == 0 else "trig"
 
 
-def _value_gaps(report):
-    on = _rel(report.subspace_value_gap, report.value_scale)
-    off = _rel(report.orthogonal_value_gap, report.value_scale)
-    return on, off
+def _trials(seed, label, count, dims, rank_floor):
+    """Yield ``(trial, seed_of, spec)`` for ``count`` trials of a family;
+    ``seed_of(part)`` is the child seed ``(seed, label, trial, part)``."""
+    for trial in range(count):
+        seed_of = partial(child_seed, seed, label, trial)
+        n, d, m = dims(np.random.default_rng(seed_of("dims")))
+        spec = InstanceSpec(
+            n=n, d=d, m=m, function_class=_function_class(trial),
+            seed=seed_of("instance"), rank_floor=rank_floor,
+        )
+        yield trial, seed_of, spec
 
 
-def _route_gap(fitted, reference, g_scale, h_scale):
-    """Normalized gap between a production fit and the dense reference."""
-    g_gap = np.linalg.norm(
-        fitted.gradients.canonical - reference.gradients.canonical
+def _run_rows(theorem, rows, seed, trials, n_range, d_range, tol, probes):
+    """One ``SuiteResult`` of every trial of every row, in order.
+
+    A row ``(label, count, dims, rank_floor, judge)`` draws ``count(trials)``
+    trials from ``_trials`` with ``dims(rng, n_range, d_range)``; ``judge``
+    yields each trial's ``(suite, gap, passed, detail)`` records.
+    """
+    records = []
+    for label, count, dims, rank_floor, judge in rows:
+        draw = partial(dims, n_range=n_range, d_range=d_range)
+        family = _trials(seed, label, count(int(trials)), draw, rank_floor)
+        for trial, seed_of, spec in family:
+            for suite, gap, passed, detail in judge(
+                spec, trial, probes, seed_of, tol
+            ):
+                records.append(TrialRecord(
+                    suite=suite, trial=trial, n=spec.n, d=spec.d, m=spec.m,
+                    function_class=spec.function_class,
+                    gap=float(gap), passed=bool(passed), detail=detail,
+                ))
+    return SuiteResult(
+        theorem=theorem, trials=len(records),
+        failures=sum(1 for rec in records if not rec.passed),
+        max_gap=float(max((rec.gap for rec in records), default=0.0)),
+        tol=float(tol), seed=int(seed), records=records,
     )
-    h_gap = np.linalg.norm(fitted.model.H - reference.model.H)
-    return max(_rel(g_gap, g_scale), _rel(h_gap, h_scale))
+
+
+def _judged(suite, run_trial):
+    """A row's judge for a ``(gap, detail)`` trial function: a trial
+    passes at ``gap <= tol``."""
+    def judge(spec, trial, probes, seed_of, tol):
+        gap, detail = run_trial(spec, trial, probes, seed_of)
+        yield suite, gap, gap <= tol, detail
+    return judge
+
+
+def _worst(*gaps):
+    """``(worst, detail)`` of ordered ``(name, gap)`` pairs; a pair named
+    ``None`` counts toward the worst but is not shown."""
+    worst = max(gap for _, gap in gaps)
+    detail = " ".join(
+        f"{name}={gap:.2e}" for name, gap in gaps if name is not None
+    )
+    return worst, detail
+
+
+def _value_gaps(full, sub, frame, probes, seed):
+    """Normalized on- and off-subspace value gaps between two models."""
+    report = coincidence_check(full, sub, frame, probes=probes, seed=seed)
+    on = _rel(report.subspace_value_gap, report.value_scale)
+    return on, _rel(report.orthogonal_value_gap, report.value_scale)
+
+
+def _fit_gaps(a, b, g_scale, h_scale):
+    """Normalized ``(g, H)`` gaps between two fits' canonical gradients and
+    Hessians."""
+    g_gap = np.linalg.norm(a.gradients.canonical - b.gradients.canonical)
+    h_gap = np.linalg.norm(a.model.H - b.model.H)
+    return _rel(g_gap, g_scale), _rel(h_gap, h_scale)
 
 
 def _family_membership_gap(full, sub, frame, rng, samples=20):
@@ -253,28 +329,21 @@ def _family_membership_gap(full, sub, frame, rng, samples=20):
         # full-space member -> its subspace part must be a subspace member
         coeffs = scale * rng.standard_normal(amb_full.shape[1])
         member_full = full.gradients.canonical + amb_full @ coeffs
-        hatted = basis.T @ member_full
-        resid = hatted - sub.gradients.canonical
-        if amb_sub.shape[1]:
-            resid = resid - amb_sub @ (amb_sub.T @ resid)
+        resid = basis.T @ member_full - sub.gradients.canonical
+        resid = resid - amb_sub @ (amb_sub.T @ resid)
         worst = max(worst, float(np.linalg.norm(resid)) / scale)
         # subspace member plus any orthogonal shift -> full-space member
         chat = scale * rng.standard_normal(amb_sub.shape[1])
         shift = complement @ (scale * rng.standard_normal(complement.shape[1]))
-        member_sub = sub.gradients.canonical
-        if amb_sub.shape[1]:
-            member_sub = member_sub + amb_sub @ chat
-        lifted = basis @ member_sub + shift
+        lifted = basis @ (sub.gradients.canonical + amb_sub @ chat) + shift
         resid = lifted - full.gradients.canonical
-        if amb_full.shape[1]:
-            resid = resid - amb_full @ (amb_full.T @ resid)
+        resid = resid - amb_full @ (amb_full.T @ resid)
         worst = max(worst, float(np.linalg.norm(resid)) / scale)
     return worst
 
 
-# Every trial function takes ``(spec, trial, probes, seed_of)``, where
-# ``seed_of(label)`` is the trial's child seed for that label, and returns
-# ``(gap, detail)``.
+# Every suite's trial function takes ``(spec, trial, probes, seed_of)``
+# and returns ``(gap, detail)``; ``_judged`` turns it into a row's judge.
 
 
 def _trial_mn(spec, trial, probes, seed_of, determined=False):
@@ -283,21 +352,17 @@ def _trial_mn(spec, trial, probes, seed_of, determined=False):
     full = _reference_fit("mn", sample_set)
     sub = fit_dqi(hatted) if determined else fit_mn(hatted)
     lifted = lift_mn(sub, frame)
-    g_scale = np.linalg.norm(sub.model.g)
+    g_scale = np.linalg.norm(sub.gradients.canonical)
     h_scale = np.linalg.norm(sub.model.H)
-    g_gap = _rel(np.linalg.norm(full.model.g - lifted.model.g), g_scale)
-    h_gap = _rel(np.linalg.norm(full.model.H - lifted.model.H), h_scale)
-    route_gap = _route_gap(fit_mn(sample_set), full, g_scale, h_scale)
-    report = coincidence_check(
-        full.model, sub.model, frame, probes=probes, seed=seed_of("probes")
+    g_gap, h_gap = _fit_gaps(full, lifted, g_scale, h_scale)
+    route_gap = max(_fit_gaps(fit_mn(sample_set), full, g_scale, h_scale))
+    on_gap, off_gap = _value_gaps(
+        full.model, sub.model, frame, probes, seed_of("probes")
     )
-    on_gap, off_gap = _value_gaps(report)
-    gap = max(g_gap, h_gap, route_gap, on_gap, off_gap)
-    detail = (
-        f"g={g_gap:.2e} H={h_gap:.2e} route={route_gap:.2e} "
-        f"on={on_gap:.2e} off={off_gap:.2e}"
+    return _worst(
+        ("g", g_gap), ("H", h_gap), ("route", route_gap), ("on", on_gap),
+        ("off", off_gap),
     )
-    return gap, detail
 
 
 def _trial_mfn(spec, trial, probes, seed_of):
@@ -313,24 +378,17 @@ def _trial_mfn(spec, trial, probes, seed_of):
         )
     g_scale = np.linalg.norm(sub.gradients.canonical)
     h_scale = np.linalg.norm(sub.model.H)
-    h_gap = _rel(np.linalg.norm(full.model.H - lifted.model.H), h_scale)
-    g_gap = _rel(
-        np.linalg.norm(full.gradients.canonical - lifted.gradients.canonical),
-        g_scale,
-    )
-    route_gap = _route_gap(fit_mfn(sample_set), full, g_scale, h_scale)
+    g_gap, h_gap = _fit_gaps(full, lifted, g_scale, h_scale)
+    route_gap = max(_fit_gaps(fit_mfn(sample_set), full, g_scale, h_scale))
     member_rng = np.random.default_rng(seed_of("members"))
     member_gap = _family_membership_gap(full, sub, frame, member_rng)
-    report = coincidence_check(
-        full.model, sub.model, frame, probes=probes, seed=seed_of("probes")
+    on_gap, off_gap = _value_gaps(
+        full.model, sub.model, frame, probes, seed_of("probes")
     )
-    on_gap, off_gap = _value_gaps(report)
-    gap = max(h_gap, g_gap, route_gap, member_gap, on_gap, off_gap)
-    detail = (
-        f"H={h_gap:.2e} g={g_gap:.2e} route={route_gap:.2e} "
-        f"fam={member_gap:.2e} on={on_gap:.2e} off={off_gap:.2e}"
+    return _worst(
+        ("H", h_gap), ("g", g_gap), ("route", route_gap), ("fam", member_gap),
+        ("on", on_gap), ("off", off_gap),
     )
-    return gap, detail
 
 
 def _fixed_lfu_gap(probes, probe_seed):
@@ -366,6 +424,20 @@ def _fixed_lfu_gap(probes, probe_seed):
     return max(gaps), "fixed worked instance"
 
 
+def _reference_pair(rng, frame, supported: bool):
+    """A random symmetric reference Hessian and its subspace restriction.
+
+    With ``supported`` it is ``Q R Qᵀ`` for a random ``d x d`` ``R``, so
+    the least-change fits must also agree off the subspace.
+    """
+    if supported:
+        inner = linalg.sym_part(rng.standard_normal((frame.d, frame.d)))
+        href = linalg.sym_part(frame.Q @ inner @ frame.Q.T)
+    else:
+        href = linalg.sym_part(rng.standard_normal((frame.n, frame.n)))
+    return href, linalg.sym_part(frame.Q.T @ href @ frame.Q)
+
+
 def _trial_lfu(spec, trial, probes, seed_of):
     probe_seed = seed_of("probes")
     if trial == 0:
@@ -373,56 +445,37 @@ def _trial_lfu(spec, trial, probes, seed_of):
     href_rng = np.random.default_rng(seed_of("href"))
     _, sample_set, frame = random_instance(spec)
     hatted = hat_sampleset(sample_set, frame)
-    n = spec.n
-    href = linalg.sym_part(href_rng.standard_normal((n, n)))
-    href_hat = linalg.sym_part(frame.Q.T @ href @ frame.Q)
+    href, href_hat = _reference_pair(href_rng, frame, supported=False)
     full = _reference_fit("lfu", sample_set, href)
     sub = fit_lfu(hatted, href_hat)
     lifted = lift_lfu(sub, frame, href)
-    scale_h = max(np.linalg.norm(sub.model.H), np.linalg.norm(href))
     g_scale = np.linalg.norm(sub.gradients.canonical)
-    h_gap = _rel(np.linalg.norm(full.model.H - lifted.model.H), scale_h)
+    h_scale = max(np.linalg.norm(sub.model.H), np.linalg.norm(href))
+    g_gap, h_gap = _fit_gaps(full, lifted, g_scale, h_scale)
     restrict_gap = _rel(
         np.linalg.norm(frame.Q.T @ full.model.H @ frame.Q - sub.model.H),
         np.linalg.norm(sub.model.H),
     )
-    g_gap = _rel(
-        np.linalg.norm(full.gradients.canonical - lifted.gradients.canonical),
-        g_scale,
-    )
-    route_gap = _route_gap(
-        fit_lfu(sample_set, href), full, g_scale, scale_h
+    route_gap = max(
+        _fit_gaps(fit_lfu(sample_set, href), full, g_scale, h_scale)
     )
     member_rng = np.random.default_rng(seed_of("members"))
     member_gap = _family_membership_gap(full, sub, frame, member_rng)
-    report = coincidence_check(
-        full.model, sub.model, frame, probes=probes, seed=probe_seed
-    )
-    on_gap, _ = _value_gaps(report)
+    on_gap, _ = _value_gaps(full.model, sub.model, frame, probes, probe_seed)
 
     # With a subspace-supported reference the models must also agree off
     # the subspace.
-    supported = linalg.sym_part(
-        frame.Q @ linalg.sym_part(
-            href_rng.standard_normal((spec.d, spec.d))
-        ) @ frame.Q.T
-    )
-    supported_hat = linalg.sym_part(frame.Q.T @ supported @ frame.Q)
+    supported, supported_hat = _reference_pair(href_rng, frame, supported=True)
     full2 = _reference_fit("lfu", sample_set, supported)
     sub2 = fit_lfu(hatted, supported_hat)
-    report2 = coincidence_check(
-        full2.model, sub2.model, frame, probes=probes, seed=probe_seed + 1
+    on2, off2 = _value_gaps(
+        full2.model, sub2.model, frame, probes, probe_seed + 1
     )
-    on2, off2 = _value_gaps(report2)
-    gap = max(
-        h_gap, restrict_gap, g_gap, route_gap, member_gap, on_gap, on2, off2
+    return _worst(
+        ("H", h_gap), ("QtHQ", restrict_gap), ("g", g_gap),
+        ("route", route_gap), ("fam", member_gap), ("on", on_gap),
+        (None, on2), ("supported-off", off2),
     )
-    detail = (
-        f"H={h_gap:.2e} QtHQ={restrict_gap:.2e} g={g_gap:.2e} "
-        f"route={route_gap:.2e} fam={member_gap:.2e} on={on_gap:.2e} "
-        f"supported-off={off2:.2e}"
-    )
-    return gap, detail
 
 
 def _draw_direction_block(rng, d, allow_duplicate, rank_floor):
@@ -502,35 +555,20 @@ def _trial_gsh(spec, trial, probes, seed_of):
 
 
 def _trial_qgsd(spec, trial, probes, seed_of, variant):
-    refined = variant == "refined"
     oracle, x0, frame, sub_bundle, full_bundle = _simplex_setup(
-        spec,
-        shared_inner=(trial % 2 == 0),
-        duplicate_ok=False,
-        refined=refined,
+        spec, shared_inner=(trial % 2 == 0), duplicate_ok=False,
+        refined=variant == "refined",
     )
     hatted = hat_function(oracle, frame)
     full = fit_qgsd(x0, full_bundle, oracle, variant=variant)
     sub = fit_qgsd(np.zeros(spec.d), sub_bundle, hatted, variant=variant)
-    g_gap = _rel(
-        np.linalg.norm(full.model.g - frame.Q @ sub.model.g),
-        np.linalg.norm(sub.model.g),
+    q, g, h = frame.Q, sub.model.g, sub.model.H
+    g_gap = _rel(np.linalg.norm(full.model.g - q @ g), np.linalg.norm(g))
+    h_gap = _rel(np.linalg.norm(full.model.H - q @ h @ q.T), np.linalg.norm(h))
+    on_gap, off_gap = _value_gaps(
+        full.model, sub.model, frame, probes, seed_of("probes")
     )
-    h_gap = _rel(
-        np.linalg.norm(
-            full.model.H - frame.Q @ sub.model.H @ frame.Q.T
-        ),
-        np.linalg.norm(sub.model.H),
-    )
-    report = coincidence_check(
-        full.model, sub.model, frame, probes=probes, seed=seed_of("probes")
-    )
-    on_gap, off_gap = _value_gaps(report)
-    gap = max(g_gap, h_gap, on_gap, off_gap)
-    detail = (
-        f"g={g_gap:.2e} H={h_gap:.2e} on={on_gap:.2e} off={off_gap:.2e}"
-    )
-    return gap, detail
+    return _worst(("g", g_gap), ("H", h_gap), ("on", on_gap), ("off", off_gap))
 
 
 def _trial_qgsd_both(spec, trial, probes, seed_of):
@@ -556,7 +594,7 @@ _TRIALS = {
 
 def run_suite(theorem: str, trials: int,
               n_range=(3, 30), d_range=(1, 6),
-              tol: float = 1e-8, seed: int = 0,
+              tol: float = VERIFY_TOL, seed: int = 0,
               probes: int = 8) -> SuiteResult:
     """Run one verification suite and collect per-trial records.
 
@@ -571,33 +609,18 @@ def run_suite(theorem: str, trials: int,
             f"unknown suite {theorem!r}; expected one of "
             f"{sorted(_TRIALS)}"
         )
-    run_trial = _TRIALS[theorem]
-    records = []
-    for trial in range(int(trials)):
-        seed_of = partial(child_seed, seed, theorem, trial)
-        dim_rng = np.random.default_rng(seed_of("dims"))
-        n, d, m = _draw_dims(dim_rng, n_range, d_range, theorem == "dqi")
-        spec = InstanceSpec(
-            n=n, d=d, m=m, function_class=_function_class(trial),
-            seed=seed_of("instance"),
-        )
-        gap, detail = run_trial(spec, trial, probes, seed_of)
-        records.append(TrialRecord(
-            suite=theorem, trial=trial, n=spec.n, d=spec.d, m=spec.m,
-            function_class=spec.function_class,
-            gap=float(gap), passed=bool(gap <= tol), detail=detail,
-        ))
-    failures = sum(1 for rec in records if not rec.passed)
-    max_gap = max((rec.gap for rec in records), default=0.0)
-    return SuiteResult(
-        theorem=theorem, trials=int(trials), failures=failures,
-        max_gap=float(max_gap), tol=float(tol), seed=int(seed),
-        records=records,
+    row = (
+        theorem, lambda trials: trials,
+        partial(_draw_dims, determined=theorem == "dqi"),
+        GENERATION_RANK_FLOOR, _judged(theorem, _TRIALS[theorem]),
+    )
+    return _run_rows(
+        theorem, [row], seed, trials, n_range, d_range, tol, probes
     )
 
 
 def run_all(trials: int, n_range=(3, 30), d_range=(1, 6),
-            tol: float = 1e-8, seed: int = 0,
+            tol: float = VERIFY_TOL, seed: int = 0,
             probes: int = 8) -> list[SuiteResult]:
     """Run every positive suite with shared settings."""
     return [
@@ -606,145 +629,94 @@ def run_all(trials: int, n_range=(3, 30), d_range=(1, 6),
     ]
 
 
+def _control_fixed(spec, trial, probes, seed_of, tol):
+    """The worked instance: its one off-plane probe gap must be 1/2."""
+    gap, detail = _fixed_lfu_gap(probes, seed_of("probes"))
+    yield "fixed-lfu", gap, gap <= 1e-10, detail
+
+
+def _control_lfu(spec, trial, probes, seed_of, tol):
+    """A random full-space reference keeps agreement on the subspace and
+    must separate off it; on every fifth trial a subspace-supported
+    reference must keep coincidence."""
+    _, sample_set, frame = random_instance(spec)
+    hatted = hat_sampleset(sample_set, frame)
+    href_rng = np.random.default_rng(seed_of("href"))
+
+    def compare(supported, part):
+        href, href_hat = _reference_pair(href_rng, frame, supported)
+        return coincidence_check(
+            fit_lfu(sample_set, href).model, fit_lfu(hatted, href_hat).model,
+            frame, probes=probes, seed=seed_of(part),
+        )
+
+    report = compare(False, "probes")
+    on, off = report.subspace_value_gap, report.orthogonal_value_gap
+    yield ("lfu-random", off, off > 10.0 * tol and on <= tol,
+           f"on={on:.2e} off={off:.2e}")
+    if trial % 5 == 0:
+        report = compare(True, "ctrl")
+        off = _rel(report.orthogonal_value_gap, report.value_scale)
+        yield ("lfu-supported", off, off <= tol,
+               "supported reference keeps coincidence")
+
+
+def _control_mfn(spec, trial, probes, seed_of, tol):
+    """Pairing a *different* subspace gradient member, shifted off the
+    subspace, with the full model breaks the coincidence hypothesis, so
+    a gap must appear."""
+    _, sample_set, frame = random_instance(spec)
+    full = fit_mfn(sample_set)
+    sub = fit_mfn(hat_sampleset(sample_set, frame))
+    amb_sub = sub.gradients.ambiguity_basis
+    if amb_sub.shape[1] == 0:
+        yield ("mfn-mismatch", float("inf"), False,
+               "expected an ambiguous subspace gradient")
+        return
+    scale = max(1.0, float(np.linalg.norm(sub.gradients.canonical)))
+    bad_gradient = (
+        frame.Q @ (sub.gradients.canonical + scale * amb_sub[:, 0])
+        + scale * frame.complement[:, 0]
+    )
+    bad_model = QuadraticModel(
+        sample_set.x0, full.model.c, bad_gradient, full.model.H
+    )
+    report = coincidence_check(
+        bad_model, sub.model, frame, probes=probes, seed=seed_of("probes")
+    )
+    off = report.orthogonal_value_gap
+    yield "mfn-mismatch", off, off > 10.0 * tol, f"off={off:.2e}"
+
+
+#: The negative-control families in record order, as ``_run_rows`` rows:
+#: child-seed label, trial count, dims rule, rank floor, trial function.
+_CONTROLS = (
+    ("negative", lambda trials: 1,
+     lambda rng, n_range, d_range: (3, 2, 3),  # the worked instance
+     GENERATION_RANK_FLOOR, _control_fixed),
+    ("negative-lfu", lambda trials: trials, _draw_dims, CONTROL_RANK_FLOOR,
+     _control_lfu),
+    ("negative-mfn", lambda trials: max(1, trials // 5),
+     _underdetermined_dims, CONTROL_RANK_FLOOR, _control_mfn),
+    ("negative-mn", lambda trials: max(1, trials // 5), _draw_dims,
+     GENERATION_RANK_FLOOR, _judged("mn-absence", _trial_mn)),
+)
+
+
 def negative_controls(seed: int = 0, trials: int = 100,
-                      tol: float = 1e-8, probes: int = 8,
+                      tol: float = VERIFY_TOL, probes: int = 8,
                       n_range=(3, 12), d_range=(1, 6)) -> SuiteResult:
     """Instances that must violate off-subspace coincidence, plus controls.
 
     Records, in order: the fixed worked instance (its one off-plane probe
     gap must be exactly 1/2); ``trials`` least-change fits with a random
     full-space reference Hessian (subspace agreement must survive, the
-    off-subspace gap must exceed ``10 * tol``); subspace-supported
-    references (no off-subspace gap); gradient pairings that break the
-    coincidence hypothesis (gap must appear); and minimum-norm instances
-    (no construction can break coincidence, so none may appear).
+    off-subspace gap must exceed ``10 * tol``), each fifth one followed by
+    a subspace-supported reference (no off-subspace gap); gradient
+    pairings that break the coincidence hypothesis (gap must appear); and
+    minimum-norm instances (no construction can break coincidence, so
+    none may appear).
     """
-    records = []
-
-    def add(kind, trial, spec, gap, passed, detail):
-        records.append(TrialRecord(
-            suite=kind, trial=trial,
-            n=spec.n if spec else 3, d=spec.d if spec else 2,
-            m=spec.m if spec else 3,
-            function_class=spec.function_class if spec else "quadratic",
-            gap=float(gap), passed=bool(passed), detail=detail,
-        ))
-
-    probe_seed0 = child_seed(seed, "negative", 0, "probes")
-    gap0, detail0 = _fixed_lfu_gap(probes, probe_seed0)
-    add("fixed-lfu", 0, None, gap0, gap0 <= 1e-10, detail0)
-
-    for trial in range(int(trials)):
-        dim_rng = np.random.default_rng(
-            child_seed(seed, "negative-lfu", trial, "dims")
-        )
-        n, d, m = _draw_dims(dim_rng, n_range, d_range, determined=False)
-        spec = InstanceSpec(
-            n=n, d=d, m=m, function_class=_function_class(trial),
-            seed=child_seed(seed, "negative-lfu", trial, "instance"),
-            rank_floor=CONTROL_RANK_FLOOR,
-        )
-        _, sample_set, frame = random_instance(spec)
-        hatted = hat_sampleset(sample_set, frame)
-        href_rng = np.random.default_rng(
-            child_seed(seed, "negative-lfu", trial, "href")
-        )
-        href = linalg.sym_part(href_rng.standard_normal((n, n)))
-        full = fit_lfu(sample_set, href)
-        sub = fit_lfu(
-            hatted, linalg.sym_part(frame.Q.T @ href @ frame.Q)
-        )
-        report = coincidence_check(
-            full.model, sub.model, frame, probes=probes,
-            seed=child_seed(seed, "negative-lfu", trial, "probes"),
-        )
-        separated = report.orthogonal_value_gap > 10.0 * tol
-        agrees_on = report.subspace_value_gap <= tol
-        add(
-            "lfu-random", trial, spec, report.orthogonal_value_gap,
-            separated and agrees_on,
-            f"on={report.subspace_value_gap:.2e} "
-            f"off={report.orthogonal_value_gap:.2e}",
-        )
-
-        if trial % 5 == 0:
-            supported = linalg.sym_part(
-                frame.Q @ linalg.sym_part(
-                    href_rng.standard_normal((d, d))
-                ) @ frame.Q.T
-            )
-            full2 = fit_lfu(sample_set, supported)
-            sub2 = fit_lfu(
-                hatted, linalg.sym_part(frame.Q.T @ supported @ frame.Q)
-            )
-            report2 = coincidence_check(
-                full2.model, sub2.model, frame, probes=probes,
-                seed=child_seed(seed, "negative-lfu", trial, "ctrl"),
-            )
-            off2 = _rel(report2.orthogonal_value_gap, report2.value_scale)
-            add(
-                "lfu-supported", trial, spec, off2, off2 <= tol,
-                "supported reference keeps coincidence",
-            )
-
-    for trial in range(max(1, int(trials) // 5)):
-        dim_rng = np.random.default_rng(
-            child_seed(seed, "negative-mfn", trial, "dims")
-        )
-        n, d, _ = _draw_dims(dim_rng, n_range, (2, d_range[1]),
-                             determined=False)
-        d = max(2, d)
-        m = max(1, d - 1)  # under-determined: the subspace gradient
-        # itself is ambiguous, so a mismatched pairing exists
-        spec = InstanceSpec(
-            n=n, d=d, m=m, function_class=_function_class(trial),
-            seed=child_seed(seed, "negative-mfn", trial, "instance"),
-            rank_floor=CONTROL_RANK_FLOOR,
-        )
-        _, sample_set, frame = random_instance(spec)
-        hatted = hat_sampleset(sample_set, frame)
-        full = fit_mfn(sample_set)
-        sub = fit_mfn(hatted)
-        amb_sub = sub.gradients.ambiguity_basis
-        if amb_sub.shape[1] == 0:
-            add("mfn-mismatch", trial, spec, float("inf"), False,
-                "expected an ambiguous subspace gradient")
-            continue
-        scale = max(1.0, float(np.linalg.norm(sub.gradients.canonical)))
-        # a *different* subspace member than the one the sub model uses,
-        # shifted off the subspace: the pairing hypothesis fails
-        bad_gradient = (
-            frame.Q @ (sub.gradients.canonical + scale * amb_sub[:, 0])
-            + scale * frame.complement[:, 0]
-        )
-        bad_model = QuadraticModel(
-            sample_set.x0, full.model.c, bad_gradient, full.model.H
-        )
-        report = coincidence_check(
-            bad_model, sub.model, frame, probes=probes,
-            seed=child_seed(seed, "negative-mfn", trial, "probes"),
-        )
-        add(
-            "mfn-mismatch", trial, spec, report.orthogonal_value_gap,
-            report.orthogonal_value_gap > 10.0 * tol,
-            f"off={report.orthogonal_value_gap:.2e}",
-        )
-
-    for trial in range(max(1, int(trials) // 5)):
-        seed_of = partial(child_seed, seed, "negative-mn", trial)
-        dim_rng = np.random.default_rng(seed_of("dims"))
-        n, d, m = _draw_dims(dim_rng, n_range, d_range, determined=False)
-        spec = InstanceSpec(
-            n=n, d=d, m=m, function_class=_function_class(trial),
-            seed=seed_of("instance"),
-        )
-        gap, detail = _trial_mn(spec, trial, probes, seed_of)
-        add("mn-absence", trial, spec, gap, gap <= tol, detail)
-
-    failures = sum(1 for rec in records if not rec.passed)
-    max_gap = max((rec.gap for rec in records), default=0.0)
-    return SuiteResult(
-        theorem="negative", trials=len(records), failures=failures,
-        max_gap=float(max_gap), tol=float(tol), seed=int(seed),
-        records=records,
+    return _run_rows(
+        "negative", _CONTROLS, seed, trials, n_range, d_range, tol, probes
     )

@@ -297,8 +297,29 @@ class TestVerifyCommand:
         assert lines[0].startswith("theorem,trial,n,d,m,function_class,gap")
         assert len(lines) == 5
 
-    def test_zero_trials_pass(self):
-        assert main(["verify", "--theorem", "gsg", "--trials", "0"]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--trials", "0"],
+        ["verify", "--trials", "-5"],
+        ["verify", "--trials", "abc"],
+        ["verify", "--probes", "-3"],
+        ["subspace", "compare", "--full", "a.json", "--sub", "b.json",
+         "--frame", "c.json", "--probes", "-1"],
+    ])
+    def test_vacuous_counts_are_usage_errors(self, argv, capsys):
+        """A run of no trials would pass every suite; it is refused before
+        anything runs or is written."""
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "config" not in captured.out
+
+    def test_least_counts_accepted(self, capsys):
+        assert main([
+            "verify", "--theorem", "gsg", "--trials", "1", "--probes", "0",
+        ]) == 0
+        assert "suite gsg: pass (0/1 failures" in capsys.readouterr().out
 
     def test_impossible_tolerance_exits_3(self):
         code = main([

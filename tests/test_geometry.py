@@ -91,6 +91,16 @@ class TestSampleSet:
         with pytest.raises(DuplicatePointError, match="conflicting values"):
             SampleSet(np.zeros(3), disp, np.arange(5.0))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_huge_steps_stay_distinct(self, rng, scale):
+        """The squares of these entries overflow, so a plain row norm is
+        inf; four distinct steps stay four whatever their values."""
+        disp = scale * rng.standard_normal((4, 3))
+        for values in (np.ones(5), np.arange(5.0)):
+            ss = SampleSet(np.zeros(3), disp, values)
+            np.testing.assert_array_equal(ss.displacements, disp)
+            np.testing.assert_array_equal(ss.values, values)
+
     def test_duplicate_with_equal_values_merges(self):
         ss = SampleSet(
             np.zeros(2),
@@ -266,13 +276,20 @@ class TestFeasibilityAtLargeDimension:
         assert interpolation_feasible(sample_set) == feasible
 
 
+def scaled_norm(v):
+    """Euclidean norm of ``v`` taken on ``v / max |v_k|``, so that no
+    square overflows or underflows."""
+    peak = np.max(np.abs(v))
+    return peak * np.linalg.norm(v / peak) if peak > 0.0 else 0.0
+
+
 def merge_oracle(disp, values):
     """Pairwise duplicate merge, one pair at a time; oracle only."""
-    norms = np.linalg.norm(disp, axis=1)
+    norms = [scaled_norm(row) for row in disp]
     keep = []
     for i in range(disp.shape[0]):
         if not any(
-            np.linalg.norm(disp[i] - disp[j])
+            scaled_norm(disp[i] - disp[j])
             <= DEDUP_RTOL * max(norms[i], norms[j], 1.0)
             for j in keep
         ):
@@ -285,9 +302,9 @@ class TestDuplicateScreen:
     """Sets the Gram-matrix screen passes through merge exactly as the
     pairwise loop does, including pairs at the duplicate cutoff."""
 
-    # at 1e200 the squared norms overflow in the set's own checks too
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("scale", [1e-100, 1e-8, 1.0, 1e8, 1e100, 1e200])
+    @pytest.mark.parametrize(
+        "scale", [1e-100, 1e-8, 1.0, 1e8, 1e100, 1e160, 1e200]
+    )
     @pytest.mark.parametrize("gap", [0.0, 0.5, 0.999, 1.001, 2.0, 1e3])
     def test_matches_pairwise_merge(self, rng, scale, gap):
         disp = scale * rng.standard_normal((7, 5))

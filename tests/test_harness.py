@@ -156,3 +156,23 @@ class TestNegativeControls:
         a = negative_controls(seed=3, trials=10)
         b = negative_controls(seed=3, trials=10)
         assert [r.gap for r in a.records] == [r.gap for r in b.records]
+
+    @pytest.mark.parametrize("trials", [1, 4, 5, 8, 11])
+    def test_record_layout(self, trials):
+        """The fixed instance, then each random reference followed on every
+        fifth trial by its supported one, then the mfn mismatches, then the
+        mn absences; trial numbers restart per family."""
+        result = negative_controls(seed=2, trials=trials)
+        fifth = max(1, trials // 5)
+        assert len(result.records) == (
+            1 + trials + len(range(0, trials, 5)) + 2 * fifth
+        )
+        expected = [("fixed-lfu", 0)]
+        for trial in range(trials):
+            expected.append(("lfu-random", trial))
+            if trial % 5 == 0:
+                expected.append(("lfu-supported", trial))
+        expected += [("mfn-mismatch", trial) for trial in range(fifth)]
+        expected += [("mn-absence", trial) for trial in range(fifth)]
+        assert [(r.suite, r.trial) for r in result.records] == expected
+        assert result.trials == len(expected)

@@ -8,7 +8,10 @@ is imported read-only, outside ``sys.modules``.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from subquad import cli, harness
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -31,3 +34,28 @@ def test_every_traced_function_exists():
             if not callable(getattr(module, name, None))
         ]
     assert not missing
+
+
+def test_suite_spans_follow_the_verify_calls(monkeypatch, capsys):
+    """The traced run names a ``run_suite`` span from its first argument
+    (or ``theorem=``) and a ``negative_controls`` span as the negative
+    suite, so ``verify --theorem all`` must make one call per suite, in
+    order, and one negative-control call, none nested in another."""
+    first = next(iter(inspect.signature(harness.run_suite).parameters))
+    assert first == "theorem"
+    calls = []
+    run_suite, negative_controls = harness.run_suite, harness.negative_controls
+
+    def suite(*args, **kwargs):
+        calls.append(args[0] if args else kwargs["theorem"])
+        return run_suite(*args, **kwargs)
+
+    def negative(*args, **kwargs):
+        calls.append("negative")
+        return negative_controls(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_suite", suite)
+    monkeypatch.setattr(harness, "negative_controls", negative)
+    assert cli.main(["verify", "--theorem", "all", "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert calls == list(harness.SUITES) + ["negative"]
