@@ -102,6 +102,26 @@ def _lift_family(family: GradientFamily,
     )
 
 
+def reference_correction(href: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``Href - P Href P`` with ``P = Q Q^T``, formed through ``Q``."""
+    return href - basis @ (basis.T @ href @ basis) @ basis.T
+
+
+def lifted_hessian(basis: np.ndarray, core: np.ndarray,
+                   correction: np.ndarray | None = None) -> np.ndarray:
+    """The lifted Hessian ``sym_part(Q Hhat Q^T [+ correction])``.
+
+    Every lift builds its Hessian here, and :func:`subquad.io.load_model`
+    rebuilds a lift's Hessian here from the factors ``(Q, Hhat)`` its file
+    holds (with ``reference_correction(href, Q)`` for least-change lifts),
+    so both give the same bits.
+    """
+    lifted = basis @ core @ basis.T
+    if correction is not None:
+        lifted = lifted + correction
+    return linalg.sym_part(lifted)
+
+
 def lift_mn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
     """Lift a subspace minimum-norm (or determined) fit to full space.
 
@@ -111,10 +131,11 @@ def lift_mn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
     """
     _check_sub_result(sub, frame, ("mn", "dqi"))
     grad = frame.Q @ sub.model.g
-    hess = linalg.sym_part(frame.Q @ sub.model.H @ frame.Q.T)
+    hess = lifted_hessian(frame.Q, sub.model.H)
     model = QuadraticModel(frame.x0, sub.model.c, grad, hess)
     family = GradientFamily(grad, np.zeros((frame.n, 0)))
-    return ModelResult(model, family, "mn")
+    return ModelResult(model, family, "mn",
+                       hessian_factors=(frame.Q, sub.model.H))
 
 
 def lift_mfn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
@@ -124,10 +145,11 @@ def lift_mfn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
     subspace joins the gradient ambiguity.
     """
     _check_sub_result(sub, frame, ("mfn",))
-    hess = linalg.sym_part(frame.Q @ sub.model.H @ frame.Q.T)
+    hess = lifted_hessian(frame.Q, sub.model.H)
     family = _lift_family(sub.gradients, frame)
     model = QuadraticModel(frame.x0, sub.model.c, family.canonical, hess)
-    return ModelResult(model, family, "mfn")
+    return ModelResult(model, family, "mfn",
+                       hessian_factors=(frame.Q, sub.model.H))
 
 
 def _correction_counts(correction, hess) -> bool:
@@ -163,16 +185,15 @@ def lift_lfu(sub: ModelResult, frame: SubspaceFrame,
         raise ReferenceMismatchError(
             f"stored subspace reference differs from Q^T Href Q by {drift:.3e}"
         )
-    correction = href - frame.Q @ restricted @ frame.Q.T
-    hess = linalg.sym_part(
-        frame.Q @ sub.model.H @ frame.Q.T + correction
-    )
+    correction = reference_correction(href, frame.Q)
+    hess = lifted_hessian(frame.Q, sub.model.H, correction)
     family = _lift_family(sub.gradients, frame)
     model = QuadraticModel(frame.x0, sub.model.c, family.canonical, hess)
     return ModelResult(
         model, family, "lfu",
         reference_hessian=href,
         correction_applied=_correction_counts(correction, href),
+        hessian_factors=(frame.Q, sub.model.H),
     )
 
 
@@ -230,13 +251,28 @@ def hat_directions(directions, frame: SubspaceFrame,
 
 def _restrict_family(family: GradientFamily, frame: SubspaceFrame,
                      drop_tol: float = 1e-12) -> GradientFamily:
+    """``Q^T`` of the family, keeping directions that project above
+    ``drop_tol``.
+
+    A unit vector ``c`` of the implicit complement ``col(K)^perp``
+    projects to at most ``||Q - K K^T Q||_F`` plus the rounding in
+    ``K^T c``. When that norm is at most ``drop_tol / 2`` and the family
+    has no explicit directions (every fit and lift of a spanning set),
+    all of the family would be dropped, so the complement is not built.
+    """
+    canonical = frame.Q.T @ family.canonical
+    kernel = family.complement_of
+    if kernel is not None and not family.explicit.shape[1]:
+        outside = np.linalg.norm(frame.Q - kernel @ (kernel.T @ frame.Q))
+        if outside <= 0.5 * drop_tol:
+            return GradientFamily(canonical, np.zeros((frame.d, 0)))
     projected = frame.Q.T @ family.ambiguity_basis
     if projected.shape[1]:
         norms = np.linalg.norm(projected, axis=0)
         projected = projected[:, norms > drop_tol]
     if projected.shape[1]:
         projected, _ = linalg.orthonormal_columns(projected)
-    return GradientFamily(frame.Q.T @ family.canonical, projected)
+    return GradientFamily(canonical, projected)
 
 
 def restrict(obj, frame: SubspaceFrame):
@@ -346,8 +382,7 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
 
     lifted_g = frame.Q @ sub_model.g
     lifted_h = frame.Q @ sub_model.H @ frame.Q.T
-    restricted = frame.Q.T @ full_model.H @ frame.Q
-    correction = full_model.H - frame.Q @ restricted @ frame.Q.T
+    correction = reference_correction(full_model.H, frame.Q)
     return ConversionReport(
         gradient_gap=float(np.linalg.norm(full_model.g - lifted_g)),
         hessian_gap=float(np.linalg.norm(full_model.H - lifted_h)),

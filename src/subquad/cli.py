@@ -23,6 +23,7 @@ stdout and into the files it writes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -323,9 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process; parsing leaves
+    it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FileFormatError, UnknownTheoremError, OSError) as exc:

@@ -66,7 +66,8 @@ class UnknownTheoremError(SubquadError):
 
 
 class SpecInfeasibleError(SubquadError):
-    """A requested instance shape cannot be realized by construction."""
+    """A requested instance shape, or a verification run of fewer than one
+    trial, cannot be realized."""
 
 
 class FileFormatError(SubquadError):

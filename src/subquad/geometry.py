@@ -28,6 +28,10 @@ from .errors import (
 #: Relative distance below which two displacements count as duplicates.
 DEDUP_RTOL = 1e-12
 
+#: Smallest ratio of two step sizes that ``_may_have_duplicates`` screens:
+#: the squares of its scaled steps stay far above the underflow threshold.
+SCREEN_RANGE = 1e-140
+
 #: Relative residual allowed when re-expressing displacements in a frame.
 SUBSPACE_RTOL = 1e-10
 
@@ -162,21 +166,31 @@ def _row_norms(rows) -> np.ndarray:
 def _may_have_duplicates(disp, norms) -> bool:
     """False only when no two displacements can be duplicates.
 
-    Screens every pair at once through the Gram matrix. Its squared
-    distances, like the per-pair distances :func:`_merge_duplicates`
-    computes, are within about ``2 (n + 3) eps`` times
-    ``|d_i|^2 + |d_j|^2 + cutoff^2`` of the true ones; a pair is screened
-    out only when it clears the squared cutoff by twice that, and a
-    non-finite distance always counts as close.
+    Screens every pair at once through the Gram matrix of the steps
+    divided by their largest entry ``p``, as :func:`_row_norms` divides
+    each step by its own, so no square overflows. Its squared distances,
+    like the per-pair distances :func:`_merge_duplicates` computes, are
+    within about ``2 (n + 4) eps`` times ``|d_i|^2 + |d_j|^2 + cutoff^2``
+    (in units of ``p^2``) of the true ones; a pair is screened out only
+    when it clears the squared cutoff by twice that, and a non-finite
+    distance always counts as close. A step smaller than ``p`` by more
+    than ``SCREEN_RANGE`` could underflow in those squares, so such a set
+    is not screened.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = disp @ disp.T
+    peak = np.max(np.abs(disp), axis=1)
+    top = np.max(peak)
+    if np.min(peak) < SCREEN_RANGE * top:
+        return True
+    scaled = disp / top
+    gram = scaled @ scaled.T
+    with np.errstate(over="ignore"):
         sq = np.diag(gram)
         pair_sq = sq[:, None] + sq[None, :]
         dist_sq = pair_sq - 2.0 * gram
         reach = DEDUP_RTOL * np.maximum(np.maximum.outer(norms, norms), 1.0)
+        reach = reach / top
         reach_sq = reach * reach
-        slack = 4.0 * (disp.shape[1] + 3) * linalg.EPS * (pair_sq + reach_sq)
+        slack = 4.0 * (disp.shape[1] + 4) * linalg.EPS * (pair_sq + reach_sq)
         close = ~(dist_sq > reach_sq + slack)
     np.fill_diagonal(close, False)
     return bool(close.any())

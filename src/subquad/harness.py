@@ -261,8 +261,13 @@ def _run_rows(theorem, rows, seed, trials, n_range, d_range, tol, probes):
 
     A row ``(label, count, dims, rank_floor, judge)`` draws ``count(trials)``
     trials from ``_trials`` with ``dims(rng, n_range, d_range)``; ``judge``
-    yields each trial's ``(suite, gap, passed, detail)`` records.
+    yields each trial's ``(suite, gap, passed, detail)`` records. A run
+    of fewer than one trial would pass vacuously, so it is refused.
     """
+    if int(trials) < 1:
+        raise SpecInfeasibleError(
+            f"suite {theorem!r} needs at least 1 trial, got {trials}"
+        )
     records = []
     for label, count, dims, rank_floor, judge in rows:
         draw = partial(dims, n_range=n_range, d_range=d_range)
@@ -601,7 +606,8 @@ def run_suite(theorem: str, trials: int,
     ``theorem`` identifies the conversion being verified: one of
     ``mn``, ``dqi``, ``mfn``, ``lfu``, ``gsg``, ``gsh``, ``qgsd``
     (both variants per trial), ``qgsd-simple``, ``qgsd-refined``.
-    A trial fails when its worst normalized gap exceeds ``tol``.
+    A trial fails when its worst normalized gap exceeds ``tol``;
+    ``trials < 1`` raises :class:`SpecInfeasibleError`.
     """
     theorem = str(theorem).lower()
     if theorem not in _TRIALS:
@@ -715,7 +721,7 @@ def negative_controls(seed: int = 0, trials: int = 100,
     a subspace-supported reference (no off-subspace gap); gradient
     pairings that break the coincidence hypothesis (gap must appear); and
     minimum-norm instances (no construction can break coincidence, so
-    none may appear).
+    none may appear). ``trials < 1`` raises :class:`SpecInfeasibleError`.
     """
     return _run_rows(
         "negative", _CONTROLS, seed, trials, n_range, d_range, tol, probes

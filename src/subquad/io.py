@@ -11,6 +11,15 @@ A model's gradient ambiguity is written in the form its
 array, an implicit one as ``{"lifted": E, "complement_of": K}`` (about half
 the floats of ``[E, orthonormal_complement(K)]``). The loader reads both; a
 reader of the array form alone rejects the object as not numeric.
+
+A subspace lift (``bridge.lift_mn``, ``lift_mfn``, ``lift_lfu``) writes its
+Hessian as the factors it was built from, ``{"lifted": Hhat, "basis": Q}``
+with ``Q`` of ``d`` columns, in place of the ``n x n`` matrix. The loader
+rebuilds ``H`` with :func:`~subquad.bridge.lifted_hessian`, adding the
+correction of the file's ``href`` for least-change models, so the loaded
+``H`` has the lift's bits. Fits, restrictions and ``d``-dimensional models
+write ``H`` as an array, and a reader of that form alone rejects the
+object form as not numeric.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import json
 
 import numpy as np
 
+from .bridge import lifted_hessian, reference_correction
 from .errors import FileFormatError
 from .geometry import SampleSet, SubspaceFrame
 from .models import GradientFamily, ModelResult, QuadraticModel
@@ -187,6 +197,29 @@ def _basis_rows(value, name, n, path) -> np.ndarray:
     return basis
 
 
+def _factored_hessian(value: dict, kind: str, href, n: int, path):
+    """``(H, (Q, Hhat))`` of a factored ``"H"``: ``Q`` with ``n`` rows, a
+    square ``Hhat`` of its column count, and ``H`` rebuilt as the lift
+    built it (with the correction of ``href`` for least-change models)."""
+    unknown = sorted(set(value) - {"lifted", "basis"})
+    if unknown:
+        raise FileFormatError(f"{path}: unknown H fields {unknown}")
+    basis = _basis_rows(_need(value, "basis", path), "H.basis", n, path)
+    core = _as_array(_need(value, "lifted", path), "H.lifted", path)
+    k = basis.shape[1]
+    if core.shape != (k, k):
+        raise FileFormatError(f"{path}: H.lifted must be {k} x {k}")
+    correction = None
+    if kind == "lfu":
+        if href is None:
+            raise FileFormatError(
+                f"{path}: a least-change model with a factored 'H' needs "
+                "'href'"
+            )
+        correction = reference_correction(href, basis)
+    return lifted_hessian(basis, core, correction), (basis, core)
+
+
 def model_to_dict(result: ModelResult, config: dict | None = None):
     model = result.model
     doc = {
@@ -197,6 +230,9 @@ def model_to_dict(result: ModelResult, config: dict | None = None):
         "g": model.g,
         "H": model.H,
     }
+    if result.hessian_factors is not None:
+        basis, core = result.hessian_factors
+        doc["H"] = {"lifted": core, "basis": basis}
     family = result.gradients
     if family.dim and family.complement_of is None:
         doc["ambiguity_basis"] = family.explicit
@@ -229,7 +265,16 @@ def load_model(path) -> ModelResult:
     n = _need_int(doc, "n", path)
     x0 = _as_array(_need(doc, "x0", path), "x0", path)
     grad = _as_array(_need(doc, "g", path), "g", path)
-    hess = _as_array(_need(doc, "H", path), "H", path)
+    href = None
+    if "href" in doc:
+        href = _as_array(doc["href"], "href", path)
+        if href.shape != (n, n):
+            raise FileFormatError(f"{path}: href must be {n} x {n}")
+    hess, factors = _need(doc, "H", path), None
+    if isinstance(hess, dict):
+        hess, factors = _factored_hessian(hess, kind, href, n, path)
+    else:
+        hess = _as_array(hess, "H", path)
     if x0.shape != (n,) or grad.shape != (n,) or hess.shape != (n, n):
         raise FileFormatError(
             f"{path}: inconsistent model dimensions for n={n}"
@@ -252,11 +297,6 @@ def load_model(path) -> ModelResult:
                              "ambiguity_basis.complement_of", n, path)
     else:
         explicit = _basis_rows(ambiguity, "ambiguity_basis", n, path)
-    href = None
-    if "href" in doc:
-        href = _as_array(doc["href"], "href", path)
-        if href.shape != (n, n):
-            raise FileFormatError(f"{path}: href must be {n} x {n}")
     correction = doc.get("correction_applied")
     if "correction_applied" in doc and not isinstance(correction, bool):
         raise FileFormatError(
@@ -265,6 +305,7 @@ def load_model(path) -> ModelResult:
     return ModelResult(
         model, GradientFamily(grad, explicit, kernel), kind,
         reference_hessian=href, correction_applied=correction,
+        hessian_factors=factors,
     )
 
 

@@ -178,7 +178,11 @@ class ModelResult:
     ``reference_hessian`` is set for least-change fits, ``sample_points``
     for stencil-based fits (the exact points consumed), and
     ``correction_applied`` by subspace lifts that add a reference-Hessian
-    correction term.
+    correction term. Subspace lifts also keep ``hessian_factors = (Q,
+    Hhat)``, the frame basis and subspace Hessian that
+    :func:`~subquad.bridge.lifted_hessian` built ``model.H`` from (with
+    the correction of ``reference_hessian`` for least-change lifts); model
+    files hold these factors in place of the ``n x n`` matrix.
     """
 
     model: QuadraticModel
@@ -187,6 +191,7 @@ class ModelResult:
     reference_hessian: np.ndarray | None = None
     sample_points: np.ndarray | None = None
     correction_applied: bool | None = None
+    hessian_factors: tuple | None = None
 
     @property
     def n(self) -> int:

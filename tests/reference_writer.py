@@ -1,8 +1,12 @@
 """Frozen copy of the recursive per-element JSON writer that ``io.dumps``
-used before float arrays were rendered a row at a time.
+used before float arrays were rendered a row at a time, and of the numeric
+field reader that model loaders applied to ``"H"`` before it could hold
+factors.
 
 Test-only: the golden tests compare ``io.dumps`` with it byte for byte, so
-the file format cannot drift. Nothing under ``src/`` imports it.
+the file format cannot drift, and the format tests check what a reader of
+the array form alone makes of the newer forms. Nothing under ``src/``
+imports it.
 """
 
 import json
@@ -54,3 +58,16 @@ def reference_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise FileFormatError(f"cannot serialize object of type {type(obj)!r}")
+
+
+def reference_read_array(value, name, path="document") -> np.ndarray:
+    """The array reader of a loader that knows only the array form."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(
+            f"{path}: field {name!r} is not numeric"
+        ) from exc
+    if not np.all(np.isfinite(arr)):
+        raise FileFormatError(f"{path}: field {name!r} has non-finite entries")
+    return arr

@@ -30,7 +30,14 @@ from subquad.geometry import (
     SubspaceFrame,
     hat_sampleset,
 )
-from subquad.models import QuadraticModel, fit_lfu, fit_mfn, fit_mn
+from subquad.models import (
+    GradientFamily,
+    ModelResult,
+    QuadraticModel,
+    fit_lfu,
+    fit_mfn,
+    fit_mn,
+)
 from subquad.simplex import DirectionBundle, fit_qgsd, gsg, gsh
 
 
@@ -212,6 +219,68 @@ class TestRestrict:
         np.testing.assert_allclose(
             restrict(h, frame), frame.Q.T @ h @ frame.Q, atol=1e-14
         )
+
+
+def _explicit_family(family):
+    return GradientFamily(family.canonical, family.ambiguity_basis)
+
+
+def _restricted_family(family, frame):
+    """``restrict`` of a zero model carrying ``family``."""
+    n = family.canonical.shape[0]
+    model = QuadraticModel(np.zeros(n), 0.0, family.canonical,
+                           np.zeros((n, n)))
+    return restrict(ModelResult(model, family, "mfn"), frame).gradients
+
+
+def _same_family(got, want):
+    assert got.complement_of is None and want.complement_of is None
+    assert got.explicit.shape == want.explicit.shape
+    np.testing.assert_array_equal(got.explicit, want.explicit)
+    np.testing.assert_array_equal(got.canonical, want.canonical)
+
+
+class TestRestrictImplicitFamily:
+    """Restricting a family whose ``col(K)`` holds ``col(Q)`` skips the
+    ``n x (n - k)`` complement, with the bits of the explicit form."""
+
+    @pytest.mark.parametrize("route", ["lift", "fit"])
+    def test_contained_span_builds_no_complement(self, monkeypatch, route):
+        rng = np.random.default_rng(17)
+        full_set, frame = planted_instance(rng, n=200, d=4, m=8)
+        if route == "lift":
+            family = lift_mfn(fit_mfn(hat_sampleset(full_set, frame)),
+                              frame).gradients
+        else:
+            family = fit_mfn(full_set).gradients
+        want = _restricted_family(_explicit_family(family), frame)
+        calls = []
+        complement = linalg.orthonormal_complement
+        monkeypatch.setattr(linalg, "orthonormal_complement",
+                            lambda q: calls.append(q.shape) or complement(q))
+        fresh = GradientFamily(family.canonical, family.explicit,
+                               family.complement_of)
+        got = _restricted_family(fresh, frame)
+        assert calls == []
+        _same_family(got, want)
+
+    @pytest.mark.parametrize("case", ["outside span", "explicit columns"])
+    def test_other_families_keep_the_complement_path(self, case):
+        rng = np.random.default_rng(23)
+        n, d = 30, 3
+        kernel, _ = linalg.orthonormal_columns(rng.standard_normal((n, 5)))
+        explicit = np.zeros((n, 0))
+        if case == "explicit columns":
+            explicit = kernel[:, 4:]
+            basis = kernel[:, :d]
+        else:
+            basis, _ = linalg.orthonormal_columns(rng.standard_normal((n, d)))
+        frame = SubspaceFrame(np.zeros(n), basis)
+        family = GradientFamily(rng.standard_normal(n), explicit, kernel)
+        got = _restricted_family(family, frame)
+        want = _restricted_family(_explicit_family(family), frame)
+        assert "ambiguity_basis" in vars(family)
+        _same_family(got, want)
 
 
 class TestSimplexBridge:

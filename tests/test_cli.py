@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import axis_frame, unit_square_set
-from subquad import io
+from subquad import cli, io
 from subquad.cli import main
 from subquad.errors import FileFormatError
 from subquad.geometry import SampleSet, SubspaceFrame, hat_sampleset
@@ -320,6 +320,16 @@ class TestVerifyCommand:
             "verify", "--theorem", "gsg", "--trials", "1", "--probes", "0",
         ]) == 0
         assert "suite gsg: pass (0/1 failures" in capsys.readouterr().out
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, capsys):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        assert main(["verify", "--theorem", "gsg", "--trials", "2",
+                     "--seed", "3"]) == 0
+        assert main(["verify", "--theorem", "gsg", "--trials", "1"]) == 0
+        first, second = capsys.readouterr().out.split("config ")[1:]
+        assert '"trials": 2' in first and '"seed": 3' in first
+        assert '"trials": 1' in second and '"seed": 42' in second
 
     def test_impossible_tolerance_exits_3(self):
         code = main([

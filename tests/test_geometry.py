@@ -15,6 +15,8 @@ from subquad.errors import (
 from subquad.geometry import (
     DEDUP_RTOL,
     FunctionOracle,
+    _may_have_duplicates,
+    _row_norms,
     SampleSet,
     SubspaceFrame,
     detect_subspace,
@@ -317,6 +319,29 @@ class TestDuplicateScreen:
         want_disp, want_values = merge_oracle(disp, values)
         np.testing.assert_array_equal(merged.displacements, want_disp)
         np.testing.assert_array_equal(merged.values, want_values)
+
+
+class TestDuplicateScreenScale:
+    """The screen measures steps in units of their largest entry, so sets
+    of huge steps are screened as unit-scale ones are."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e100, 1e160, 1e300])
+    def test_distinct_steps_skip_the_merge(self, rng, scale):
+        disp = scale * rng.standard_normal((200, 5))
+        assert not _may_have_duplicates(disp, _row_norms(disp))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160])
+    def test_a_duplicate_is_still_seen(self, rng, scale):
+        disp = scale * rng.standard_normal((200, 5))
+        disp[150] = disp[20] * (1.0 + 1e-14)
+        assert _may_have_duplicates(disp, _row_norms(disp))
+        assert SampleSet(np.zeros(5), disp, np.ones(201)).m == 199
+
+    def test_steps_beyond_the_screened_range_are_merged_pairwise(self, rng):
+        disp = rng.standard_normal((6, 3))
+        disp[3] *= 1e-150
+        assert _may_have_duplicates(disp, _row_norms(disp))
+        assert SampleSet(np.zeros(3), disp, np.ones(7)).m == 6
 
 
 class TestPoisedness:

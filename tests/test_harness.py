@@ -108,6 +108,17 @@ class TestSuites:
         with pytest.raises(UnknownTheoremError):
             run_suite("fermat", 3)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_vacuous_runs_are_refused(self, trials):
+        """No trials would pass every check; library callers get the typed
+        error the CLI's usage check stands in for."""
+        with pytest.raises(SpecInfeasibleError, match="at least 1 trial"):
+            run_suite("mn", trials)
+        with pytest.raises(SpecInfeasibleError, match="at least 1 trial"):
+            negative_controls(trials=trials)
+        with pytest.raises(SpecInfeasibleError):
+            run_all(trials)
+
     def test_records_carry_instance_fingerprint(self):
         result = run_suite("gsg", 5, seed=8)
         for record in result.records:

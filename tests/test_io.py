@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import axis_frame, unit_square_set
-from reference_writer import reference_dumps
+from reference_writer import reference_dumps, reference_read_array
 from subquad import io, linalg
-from subquad.bridge import lift_mfn
+from subquad.bridge import lift_lfu, lift_mfn, lift_mn, restrict
 from subquad.cli import main
 from subquad.errors import (
     DimensionMismatchError,
@@ -26,7 +26,7 @@ from subquad.errors import (
     SubquadError,
 )
 from subquad.geometry import SampleSet, detect_subspace, hat_sampleset
-from subquad.models import GradientFamily, fit_mfn
+from subquad.models import GradientFamily, fit_lfu, fit_mfn, fit_mn
 from subquad.simplex import DirectionBundle
 
 #: Reals at the edges of the writer's rules: signed zeros, integral floats
@@ -392,3 +392,166 @@ class TestImplicitAmbiguity:
             assert "error:" in capsys.readouterr().err
         assert codes[0] == codes[1] == (1 if error is FileFormatError else 2)
         assert not (tmp_path / "o.json").exists()
+
+
+def _subspace_instance(n, d):
+    """A quadratic's values on ``2 d + 2`` steps in a random ``d``-dim
+    subspace of R^n, with a random full-space reference Hessian."""
+    rng = np.random.default_rng(1000 * n + d)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    disp = rng.standard_normal((2 * d + 2, d)) @ basis.T
+    grad = rng.standard_normal(n)
+    hess = linalg.sym_part(rng.standard_normal((n, n)))
+    curvature = np.einsum("ij,jk,ik->i", disp, hess, disp)
+    values = 0.5 + np.concatenate([[0.0], disp @ grad + 0.5 * curvature])
+    full = SampleSet(rng.standard_normal(n), disp, values)
+    return full, linalg.sym_part(rng.standard_normal((n, n)))
+
+
+def _factored_lift(kind, n, d, tmp_path=None):
+    """``(lift, frame)`` of a subspace fit. With ``tmp_path`` the frame and
+    the subspace fit go through files first, as in ``subquad subspace
+    lift``; without it they come straight from ``detect_subspace``."""
+    full, href = _subspace_instance(n, d)
+    frame = detect_subspace(full)
+    hatted = hat_sampleset(full, frame)
+    if kind == "lfu":
+        sub = fit_lfu(hatted, linalg.sym_part(frame.Q.T @ href @ frame.Q))
+    else:
+        sub = (fit_mn if kind == "mn" else fit_mfn)(hatted)
+    if tmp_path is not None:
+        io.save_frame(str(tmp_path / "frame.json"), frame)
+        frame = io.load_frame(str(tmp_path / "frame.json"))
+        io.save_model(str(tmp_path / "sub.json"), sub)
+        sub = io.load_model(str(tmp_path / "sub.json"))
+    if kind == "lfu":
+        return lift_lfu(sub, frame, href), frame
+    return (lift_mn if kind == "mn" else lift_mfn)(sub, frame), frame
+
+
+def _family_arrays(family):
+    kernel = family.complement_of
+    return (family.canonical, family.explicit,
+            np.zeros((0, 0)) if kernel is None else kernel)
+
+
+def _array_form(result):
+    """``result`` as a model file written before lifts kept factors."""
+    return dataclasses.replace(result, hessian_factors=None)
+
+
+class TestFactoredHessian:
+    """Lifts write ``"H"`` as ``{"lifted": Hhat, "basis": Q}`` and the
+    loader rebuilds the lift's own bits."""
+
+    @pytest.mark.parametrize("source", ["detect", "file"])
+    @pytest.mark.parametrize("d", [2, 6])
+    @pytest.mark.parametrize("n", [100, 300])
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu"])
+    def test_lift_save_load_is_bit_exact(self, tmp_path, kind, n, d, source):
+        result, frame = _factored_lift(
+            kind, n, d, tmp_path if source == "file" else None
+        )
+        assert result.hessian_factors[0] is frame.Q
+        path = tmp_path / "lift.json"
+        io.save_model(str(path), result)
+        written = path.read_text(encoding="utf-8")
+        assert set(json.loads(written)["H"]) == {"lifted", "basis"}
+        loaded = io.load_model(str(path))
+        pairs = [(loaded.model.H, result.model.H),
+                 (loaded.model.g, result.model.g),
+                 (loaded.model.x0, result.model.x0)]
+        pairs += zip(_family_arrays(loaded.gradients),
+                     _family_arrays(result.gradients))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert loaded.gradients.dim == result.gradients.dim
+        assert loaded.correction_applied == result.correction_applied
+        basis, core = loaded.hessian_factors
+        np.testing.assert_array_equal(_bits(basis), _bits(frame.Q))
+        assert core.shape == (d, d)
+        assert io.dumps(io.model_to_dict(loaded)) + "\n" == written
+
+    @pytest.mark.parametrize("kind", ["mn", "mfn"])
+    def test_n300_file_is_at_most_01_of_the_array_form(self, kind):
+        result, _ = _factored_lift(kind, 300, 6)
+        factored = len(io.dumps(io.model_to_dict(result)))
+        dense = len(io.dumps(io.model_to_dict(_array_form(result))))
+        assert factored <= 0.1 * dense
+
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu"])
+    def test_array_form_loads_unchanged(self, tmp_path, kind):
+        result, _ = _factored_lift(kind, 100, 2)
+        path = tmp_path / "old.json"
+        path.write_text(
+            reference_dumps(io.model_to_dict(_array_form(result))) + "\n",
+            encoding="utf-8",
+        )
+        loaded = io.load_model(str(path))
+        assert loaded.hessian_factors is None
+        np.testing.assert_array_equal(
+            _bits(loaded.model.H), _bits(result.model.H)
+        )
+        assert isinstance(io.model_to_dict(loaded)["H"], np.ndarray)
+
+    def test_fits_and_restrictions_write_arrays(self):
+        full, href = _subspace_instance(40, 3)
+        frame = detect_subspace(full)
+        hatted = hat_sampleset(full, frame)
+        results = [fit(s) for fit in (fit_mn, fit_mfn) for s in (full, hatted)]
+        results += [fit_lfu(full, href),
+                    fit_lfu(hatted, np.eye(3))]
+        results += [restrict(_factored_lift(kind, 40, 3)[0], frame)
+                    for kind in ("mn", "mfn")]
+        for result in results:
+            assert result.hessian_factors is None
+            assert isinstance(io.model_to_dict(result)["H"], np.ndarray)
+
+    def test_reader_of_the_array_form_rejects_it(self):
+        result, _ = _factored_lift("mfn", 100, 2)
+        doc = json.loads(io.dumps(io.model_to_dict(result)))
+        with pytest.raises(FileFormatError,
+                           match="field 'H' is not numeric"):
+            reference_read_array(doc["H"], "H")
+
+    @pytest.mark.parametrize("name", [
+        "missing lifted", "missing basis", "unknown key", "basis rows",
+        "basis 1-D", "lifted shape", "lifted 1-D", "non-numeric", "ragged",
+        "non-finite", "lfu without href",
+    ])
+    def test_malformed_factors_are_bad_input(self, tmp_path, capsys, name):
+        result, frame = _factored_lift("lfu", 6, 2)
+        path = tmp_path / "model.json"
+        io.save_model(str(path), result)
+        frame_path = tmp_path / "frame.json"
+        io.save_frame(str(frame_path), frame)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        core, basis = doc["H"]["lifted"], doc["H"]["basis"]
+        hess = {
+            "missing lifted": {"basis": basis},
+            "missing basis": {"lifted": core},
+            "unknown key": {**doc["H"], "scale": 1.0},
+            "basis rows": {"lifted": core, "basis": basis[:-1]},
+            "basis 1-D": {"lifted": core, "basis": basis[0]},
+            "lifted shape": {"lifted": [row + [0.0] for row in core],
+                             "basis": basis},
+            "lifted 1-D": {"lifted": core[0], "basis": basis},
+            "non-numeric": {"lifted": "abc", "basis": basis},
+            "ragged": {"lifted": [core[0], core[1][:1]], "basis": basis},
+            "non-finite": {"lifted": [[float("nan"), 0.0], core[1]],
+                           "basis": basis},
+        }.get(name, doc["H"])
+        _rewrite(path, "H", hess)
+        if name == "lfu without href":
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            del doc["href"]
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(FileFormatError):
+            io.load_model(str(path))
+        out = tmp_path / "out.json"
+        code = main(["subspace", "restrict", "--model", str(path),
+                     "--frame", str(frame_path), "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
