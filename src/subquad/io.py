@@ -2,9 +2,10 @@
 
 Reals are written with 17 significant digits, which pins down an IEEE
 double uniquely: reading a file back reproduces the in-memory coefficients
-bit for bit. Matrices are nested row-major lists. Float arrays are rendered
-a row at a time, in one formatting call per row, and the bytes match
-``format_real`` applied element by element.
+bit for bit. Matrices are nested row-major lists. A float array is rendered
+in one formatting call per 2-D block (a vector is the one-row case), from a
+format string built with one vectorized test of which entries are integral,
+and the bytes match ``format_real`` applied element by element.
 
 A model's gradient ambiguity is written in the form its
 :class:`~subquad.models.GradientFamily` holds: an explicit basis as an
@@ -19,7 +20,14 @@ rebuilds ``H`` with :func:`~subquad.bridge.lifted_hessian`, adding the
 correction of the file's ``href`` for least-change models, so the loaded
 ``H`` has the lift's bits. Fits, restrictions and ``d``-dimensional models
 write ``H`` as an array, and a reader of that form alone rejects the
-object form as not numeric.
+object form as not numeric. A lift's gradient ambiguity is the complement
+of that same ``Q``, so it is written ``"complement_of": "basis"``, a
+reference to ``H.basis``, and ``Q`` is written once.
+
+A reference Hessian whose off-diagonal entries are all ``+0.0`` (the CLI's
+``--href 0`` and ``I<n>``) is written ``"href": {"diagonal": v}``; the
+loader rebuilds ``np.diag(v)``, the same bits. Any other ``href``, a
+``-0.0`` off the diagonal included, is written as an array.
 """
 
 from __future__ import annotations
@@ -61,17 +69,30 @@ def _layout(rendered: list, indent: int) -> str:
     return "[\n" + ",\n".join(inner + r for r in rendered) + f"\n{pad}]"
 
 
-def _float_row(row: np.ndarray) -> str:
-    """A 1-D float64 array as ``format_real`` renders it element by
-    element, in one ``%`` call. Integral entries below ``1e17`` are the
-    ones ``.17g`` prints without a point; ``.1f`` prints the same digits
-    plus ``.0``. No entry exceeds 24 characters, so the row is inline."""
-    if not np.isfinite(row).all():
-        for value in row.tolist():
+#: A float entry's format and the text after it, indexed by
+#: ``integral + 2 * last_in_row``. Integral entries below ``1e17`` are the
+#: ones ``.17g`` prints without a point; ``.1f`` prints the same digits
+#: plus ``.0``. The ``"\n"`` between rows is where the text is split.
+_ENTRY_FORMATS = ("%.17g, ", "%.1f, ", "%.17g]\n[", "%.1f]\n[")
+
+
+def _float_rows(block: np.ndarray) -> list:
+    """The rows of a 2-D float64 array as ``format_real`` renders them
+    element by element, in one ``%`` call. No entry exceeds 24
+    characters, so each row is inline."""
+    rows, cols = block.shape
+    if rows == 0 or cols == 0:
+        return ["[]"] * rows
+    values = block.ravel().tolist()
+    if not np.isfinite(block).all():
+        for value in values:
             format_real(value)  # raises on the first non-finite entry
-    integral = (row == np.trunc(row)) & (np.abs(row) < 1e17)
-    fmt = ", ".join(np.where(integral, "%.1f", "%.17g").tolist())
-    return "[" + fmt % tuple(row.tolist()) + "]"
+    index = ((block == np.trunc(block)) & (np.abs(block) < 1e17)).astype(
+        np.intp
+    )
+    index[:, -1] += 2
+    fmt = "[" + "".join([_ENTRY_FORMATS[i] for i in index.ravel().tolist()])
+    return (fmt[:-2] % tuple(values)).split("\n")
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -89,9 +110,10 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         if obj.ndim == 0 or not np.issubdtype(obj.dtype, np.floating):
             return dumps(obj.tolist(), indent)
-        if obj.ndim == 1:
-            return _float_row(obj.astype(np.float64, copy=False))
-        return _layout([dumps(sub, indent + 1) for sub in obj], indent)
+        if obj.ndim > 2:
+            return _layout([dumps(sub, indent + 1) for sub in obj], indent)
+        rows = _float_rows(np.atleast_2d(obj.astype(np.float64, copy=False)))
+        return rows[0] if obj.ndim == 1 else _layout(rows, indent)
     if isinstance(obj, (list, tuple)):
         return _layout([dumps(val, indent + 1) for val in obj], indent)
     if isinstance(obj, bool) or obj is None:
@@ -220,6 +242,29 @@ def _factored_hessian(value: dict, kind: str, href, n: int, path):
     return lifted_hessian(basis, core, correction), (basis, core)
 
 
+def _is_diagonal(mat: np.ndarray) -> bool:
+    """True when every off-diagonal entry of a square float array is
+    ``+0.0``, by its bits (a ``-0.0`` is not)."""
+    bits = np.ascontiguousarray(mat, dtype=np.float64).view(np.uint64)
+    return np.count_nonzero(bits) == np.count_nonzero(np.diagonal(bits))
+
+
+def _reference_hessian(value, n: int, path) -> np.ndarray:
+    """``href`` from its array form or its ``{"diagonal": v}`` form."""
+    if not isinstance(value, dict):
+        href = _as_array(value, "href", path)
+        if href.shape != (n, n):
+            raise FileFormatError(f"{path}: href must be {n} x {n}")
+        return href
+    unknown = sorted(set(value) - {"diagonal"})
+    if unknown:
+        raise FileFormatError(f"{path}: unknown href fields {unknown}")
+    diagonal = _as_array(_need(value, "diagonal", path), "href.diagonal", path)
+    if diagonal.shape != (n,):
+        raise FileFormatError(f"{path}: href.diagonal must have length {n}")
+    return np.diag(diagonal)
+
+
 def model_to_dict(result: ModelResult, config: dict | None = None):
     model = result.model
     doc = {
@@ -230,18 +275,25 @@ def model_to_dict(result: ModelResult, config: dict | None = None):
         "g": model.g,
         "H": model.H,
     }
+    basis = None
     if result.hessian_factors is not None:
         basis, core = result.hessian_factors
         doc["H"] = {"lifted": core, "basis": basis}
     family = result.gradients
-    if family.dim and family.complement_of is None:
+    kernel = family.complement_of
+    if family.dim and kernel is None:
         doc["ambiguity_basis"] = family.explicit
     elif family.dim:
+        if kernel is basis:
+            kernel = "basis"
         doc["ambiguity_basis"] = {
-            "lifted": family.explicit, "complement_of": family.complement_of,
+            "lifted": family.explicit, "complement_of": kernel,
         }
-    if result.reference_hessian is not None:
-        doc["href"] = result.reference_hessian
+    href = result.reference_hessian
+    if href is not None:
+        doc["href"] = (
+            {"diagonal": np.diag(href)} if _is_diagonal(href) else href
+        )
     if result.correction_applied is not None:
         doc["correction_applied"] = bool(result.correction_applied)
     if config:
@@ -267,9 +319,7 @@ def load_model(path) -> ModelResult:
     grad = _as_array(_need(doc, "g", path), "g", path)
     href = None
     if "href" in doc:
-        href = _as_array(doc["href"], "href", path)
-        if href.shape != (n, n):
-            raise FileFormatError(f"{path}: href must be {n} x {n}")
+        href = _reference_hessian(doc["href"], n, path)
     hess, factors = _need(doc, "H", path), None
     if isinstance(hess, dict):
         hess, factors = _factored_hessian(hess, kind, href, n, path)
@@ -293,8 +343,17 @@ def load_model(path) -> ModelResult:
             )
         explicit = _basis_rows(_need(ambiguity, "lifted", path),
                                "ambiguity_basis.lifted", n, path)
-        kernel = _basis_rows(_need(ambiguity, "complement_of", path),
-                             "ambiguity_basis.complement_of", n, path)
+        kernel = _need(ambiguity, "complement_of", path)
+        if kernel != "basis":
+            kernel = _basis_rows(kernel, "ambiguity_basis.complement_of",
+                                 n, path)
+        elif factors is None:
+            raise FileFormatError(
+                f"{path}: ambiguity_basis.complement_of 'basis' needs a "
+                "factored 'H'"
+            )
+        else:
+            kernel = factors[0]
     else:
         explicit = _basis_rows(ambiguity, "ambiguity_basis", n, path)
     correction = doc.get("correction_applied")

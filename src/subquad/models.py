@@ -316,7 +316,7 @@ def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol,
         _solve_min_frobenius, disp, delta, rank_tol, (m + n, m + n), dense
     )
     if href is not None:
-        hess = linalg.sym_part(href + hess)
+        hess = href + hess  # a sum of exactly symmetric matrices
     model = QuadraticModel(sample_set.x0, values[0], alpha, hess)
     _require_interpolates(sample_set, model, feas_tol)
     family = GradientFamily(alpha, np.zeros((n, 0)), span_basis)

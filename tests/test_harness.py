@@ -1,13 +1,19 @@
 """Randomized verification harness: determinism, instance quality,
 suite plumbing and the negative controls."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from subquad import harness, linalg
 from subquad.errors import SpecInfeasibleError, UnknownTheoremError
-from subquad.geometry import detect_subspace
+from subquad.geometry import detect_subspace, hat_function
 from subquad.harness import (
+    GENERATION_RANK_FLOOR,
+    STENCIL_CONDITION_MAX,
     SUITES,
+    VERIFY_TOL,
     InstanceSpec,
     child_seed,
     negative_controls,
@@ -15,6 +21,7 @@ from subquad.harness import (
     run_all,
     run_suite,
 )
+from subquad.simplex import fit_qgsd
 
 
 class TestInstanceGeneration:
@@ -140,6 +147,94 @@ class TestSuites:
         result = run_suite("mfn", 4, seed=6, tol=1e-18)
         assert not result.passed
         assert result.failures > 0
+
+
+#: ``verify --theorem all --trials 8 --seed 1150656756``: trial 6 of its
+#: qgsd-refined suite drew a 3 x 3 ``S = T`` with ``kappa(S) = 6.0e3``.
+ILL_CONDITIONED_SEED = 1150656756
+
+
+def _refined_trial(trial):
+    """``(spec, seed_of)`` of one qgsd-refined trial at that seed."""
+    draw = partial(harness._draw_dims, n_range=(3, 30), d_range=(1, 6))
+    for index, seed_of, spec in harness._trials(
+        ILL_CONDITIONED_SEED, "qgsd-refined", 8, draw, GENERATION_RANK_FLOOR
+    ):
+        if index == trial:
+            return spec, seed_of
+    raise AssertionError(trial)
+
+
+def _kept_condition(block):
+    """Condition number over the singular values ``pinv_apply`` keeps."""
+    sigma = np.linalg.svd(block, compute_uv=False)
+    kept = linalg.numerical_rank(sigma, linalg.default_rank_tol(*block.shape))
+    return sigma[0] / sigma[kept - 1]
+
+
+class TestStencilConditioning:
+    """A simplex Hessian's two pseudo-inverse solves amplify rounding by
+    ``kappa(S) kappa(T)``; stencils above ``STENCIL_CONDITION_MAX`` are
+    redrawn, and every other trial keeps its draw."""
+
+    def test_bound_comes_from_the_tolerance(self):
+        assert STENCIL_CONDITION_MAX == VERIFY_TOL / (64 * linalg.EPS)
+        assert 7e5 < STENCIL_CONDITION_MAX < 7.1e5
+
+    def test_failing_trial_is_input_conditioning(self, monkeypatch):
+        monkeypatch.setattr(harness, "STENCIL_CONDITION_MAX", np.inf)
+        spec, _ = _refined_trial(6)
+        assert (spec.n, spec.d, spec.m) == (11, 3, 5)
+        oracle, x0, frame, sub_bundle, full_bundle = harness._simplex_setup(
+            spec, shared_inner=True, duplicate_ok=False, refined=True
+        )
+        kappa = np.linalg.cond(sub_bundle.S)
+        assert sub_bundle.S.shape == (3, 3) and 5.9e3 < kappa < 6.1e3
+        assert kappa**2 > STENCIL_CONDITION_MAX
+        q = frame.Q
+        exact = q.T @ oracle._fn.hessian() @ q
+        full = fit_qgsd(x0, full_bundle, oracle, variant="refined")
+        sub = fit_qgsd(np.zeros(3), sub_bundle,
+                               hat_function(oracle, frame), variant="refined")
+        scale = np.linalg.norm(sub.model.H)
+        misses = [np.linalg.norm(h - exact) / scale
+                  for h in (q.T @ full.model.H @ q, sub.model.H)]
+        rounding = linalg.EPS * kappa**2
+        # each route misses the exact Hessian by a few eps kappa^2 ...
+        assert 1.4e-8 < misses[0] < 1.6e-8 and 8e-9 < misses[1] < 9.5e-9
+        assert all(rounding < miss < 6 * rounding for miss in misses)
+        # ... and the reported gap is their difference
+        gap = np.linalg.norm(full.model.H - q @ sub.model.H @ q.T) / scale
+        assert 2.3e-8 < gap < 2.5e-8 and gap > VERIFY_TOL
+        result = run_suite("qgsd-refined", 8, seed=ILL_CONDITIONED_SEED)
+        assert [r.trial for r in result.records if not r.passed] == [6]
+
+    def test_bound_redraws_only_the_ill_conditioned_trial(self, monkeypatch):
+        bounded = run_suite("qgsd-refined", 8, seed=ILL_CONDITIONED_SEED)
+        monkeypatch.setattr(harness, "STENCIL_CONDITION_MAX", np.inf)
+        unbounded = run_suite("qgsd-refined", 8, seed=ILL_CONDITIONED_SEED)
+        assert bounded.passed and bounded.max_gap < 1e-13
+        changed = [a.trial for a, b in zip(bounded.records, unbounded.records)
+                   if a != b]
+        assert changed == [6]
+
+    @pytest.mark.parametrize("theorem", ["gsh", "qgsd-simple",
+                                         "qgsd-refined"])
+    def test_kept_stencils_are_within_the_bound(self, theorem):
+        draw = partial(harness._draw_dims, n_range=(3, 30), d_range=(1, 6))
+        for seed in range(40):
+            for trial, _, spec in harness._trials(
+                seed, theorem, 8, draw, GENERATION_RANK_FLOOR
+            ):
+                bundle = harness._simplex_setup(
+                    spec, shared_inner=trial % 2 == 0,
+                    duplicate_ok=theorem == "gsh" and trial % 5 == 0,
+                    refined=theorem == "qgsd-refined",
+                )[3]
+                condition = _kept_condition(bundle.S) * max(
+                    map(_kept_condition, bundle.blocks)
+                )
+                assert condition <= STENCIL_CONDITION_MAX
 
 
 class TestNegativeControls:

@@ -1,9 +1,9 @@
 """The JSON writer and the typed loader errors.
 
-``io.dumps`` renders float arrays a row at a time; the golden tests pin it
-byte for byte to the recursive per-element writer kept in
-``reference_writer.py``, and the round-trip properties pin the promise that
-a save/load round trip is bit-exact.
+``io.dumps`` renders each 2-D block of a float array in one formatting
+call; the golden tests pin it byte for byte to the recursive per-element
+writer kept in ``reference_writer.py``, and the round-trip properties pin
+the promise that a save/load round trip is bit-exact.
 """
 
 import dataclasses
@@ -85,6 +85,18 @@ def _document(rng, depth=0):
     return leaves[int(rng.integers(len(leaves)))]
 
 
+#: Floats the writer must render as ``format_real`` does: any finite
+#: double, the edge reals, integral values around ``1e16`` and ``1e17``
+#: (on both sides of the ``.1f`` rule) and subnormals.
+WRITER_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_REALS),
+    st.integers(-3 * 10**17, 3 * 10**17).map(float),
+    st.floats(min_value=-2.2250738585072014e-308,
+              max_value=2.2250738585072014e-308),
+)
+
+
 class TestGoldenBytes:
     def test_random_documents(self):
         rng = np.random.default_rng(20261018)
@@ -116,13 +128,25 @@ class TestGoldenBytes:
     def test_nonfinite_same_error(self, bad):
         for arr in (np.array([1.0, bad, np.nan]),
                     np.array([[0.5, 2.0], [np.inf, bad]])[::-1],
-                    np.array([bad], dtype=np.float32)):
+                    np.array([bad], dtype=np.float32),
+                    np.array([[[0.5]], [[-0.0]], [[bad]]])):
             doc = {"ok": [1.0], "a": arr}
             with pytest.raises(FileFormatError) as expected:
                 reference_dumps(doc)
             with pytest.raises(FileFormatError) as actual:
                 io.dumps(doc)
             assert str(actual.value) == str(expected.value)
+
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+        elements=WRITER_FLOATS,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_float_arrays_property(self, arr):
+        assert io.dumps(arr) == reference_dumps(arr)
+        doc = {"a": arr, "nested": [arr[..., :1], {"b": arr}]}
+        assert io.dumps(doc) == reference_dumps(doc)
 
 
 def _lifted_mfn(n=300, d=4, m=10, seed=5):
@@ -311,10 +335,12 @@ class TestImplicitAmbiguity:
 
     def test_lifted_model_writes_the_implicit_form(self):
         result = _lifted_mfn()
-        doc = io.model_to_dict(result)["ambiguity_basis"]
-        assert set(doc) == {"lifted", "complement_of"}
-        assert doc["lifted"].shape == (300, 0)
-        assert doc["complement_of"].shape == (300, 4)
+        doc = io.model_to_dict(result)
+        ambiguity = doc["ambiguity_basis"]
+        assert set(ambiguity) == {"lifted", "complement_of"}
+        assert ambiguity["lifted"].shape == (300, 0)
+        assert ambiguity["complement_of"] == "basis"
+        assert doc["H"]["basis"].shape == (300, 4)
 
     def test_round_trip_keeps_the_form_bit_exactly(self, tmp_path):
         result = _lifted_mfn()
@@ -471,6 +497,10 @@ class TestFactoredHessian:
         basis, core = loaded.hessian_factors
         np.testing.assert_array_equal(_bits(basis), _bits(frame.Q))
         assert core.shape == (d, d)
+        if kind != "mn":  # one copy of Q serves "H" and the ambiguity
+            ambiguity = json.loads(written)["ambiguity_basis"]
+            assert ambiguity["complement_of"] == "basis"
+            assert loaded.gradients.complement_of is basis
         assert io.dumps(io.model_to_dict(loaded)) + "\n" == written
 
     @pytest.mark.parametrize("kind", ["mn", "mfn"])
@@ -547,6 +577,190 @@ class TestFactoredHessian:
             doc = json.loads(path.read_text(encoding="utf-8"))
             del doc["href"]
             path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(FileFormatError):
+            io.load_model(str(path))
+        out = tmp_path / "out.json"
+        code = main(["subspace", "restrict", "--model", str(path),
+                     "--frame", str(frame_path), "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _lfu_pair(n, d, href_full, href_sub=None):
+    """``(sub, lift, frame)`` of a least-change fit in the span of a
+    subspace instance, fitted with ``href_sub`` (default ``Q^T Href Q``)
+    and lifted with ``href_full``, as ``subquad fit`` and ``subquad
+    subspace lift``."""
+    full, _ = _subspace_instance(n, d)
+    frame = detect_subspace(full)
+    if href_sub is None:
+        href_sub = linalg.sym_part(frame.Q.T @ href_full @ frame.Q)
+    sub = fit_lfu(hat_sampleset(full, frame), href_sub)
+    return sub, lift_lfu(sub, frame, href_full), frame
+
+
+def _round_trip(tmp_path, result, name="model.json"):
+    """``(written document, loaded result)`` of a save/load."""
+    path = tmp_path / name
+    io.save_model(str(path), result)
+    loaded = io.load_model(str(path))
+    text = path.read_text(encoding="utf-8")
+    assert io.dumps(io.model_to_dict(loaded)) + "\n" == text
+    return json.loads(text), loaded
+
+
+def _assert_same_model(loaded, result):
+    pairs = [(loaded.model.H, result.model.H),
+             (loaded.model.g, result.model.g)]
+    if result.reference_hessian is not None:
+        pairs.append((loaded.reference_hessian, result.reference_hessian))
+    pairs += [(loaded.gradients.canonical, result.gradients.canonical),
+              (loaded.gradients.ambiguity_basis,
+               result.gradients.ambiguity_basis)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+class TestDiagonalReference:
+    """A reference Hessian with ``+0.0`` off the diagonal is written
+    ``{"diagonal": v}`` and loads as ``np.diag(v)``, bit for bit."""
+
+    @pytest.mark.parametrize("n,d", [(100, 2), (300, 6)])
+    @pytest.mark.parametrize("spec", ["I", "0", "random"])
+    def test_sub_and_lift_files_round_trip(self, tmp_path, spec, n, d):
+        rng = np.random.default_rng(n + d)
+        sub, lift, _ = {
+            "I": lambda: _lfu_pair(n, d, np.eye(n), np.eye(d)),
+            "0": lambda: _lfu_pair(n, d, np.zeros((n, n)), np.zeros((d, d))),
+            "random": lambda: _lfu_pair(
+                n, d, np.diag(rng.standard_normal(n))
+            ),
+        }[spec]()
+        for result, name in ((sub, "sub.json"), (lift, "lift.json")):
+            doc, loaded = _round_trip(tmp_path, result, name)
+            href = result.reference_hessian
+            diagonal = np.array_equal(href, np.diag(np.diag(href)))
+            assert isinstance(doc["href"], dict) == diagonal
+            _assert_same_model(loaded, result)
+        assert set(doc["href"]) == {"diagonal"}
+
+    @pytest.mark.parametrize("spec", ["0", "I"])
+    def test_cli_builtin_specs_write_the_diagonal(self, tmp_path, spec):
+        full, _ = _subspace_instance(40, 3)
+        frame = detect_subspace(full)
+        paths = {key: str(tmp_path / f"{key}.json")
+                 for key in ("hat", "frame", "sub", "lift")}
+        io.save_sampleset(paths["hat"], hat_sampleset(full, frame))
+        io.save_frame(paths["frame"], frame)
+        sub_spec, lift_spec = (spec, spec) if spec == "0" else (
+            f"I{frame.d}", "I40"
+        )
+        assert main(["fit", "--kind", "lfu", "--in", paths["hat"],
+                     "--out", paths["sub"], "--href", sub_spec]) == 0
+        assert main(["subspace", "lift", "--model", paths["sub"],
+                     "--frame", paths["frame"], "--out", paths["lift"],
+                     "--href", lift_spec]) == 0
+        for key, size in (("sub", frame.d), ("lift", 40)):
+            doc = io.read_document(paths[key])
+            assert len(doc["href"]["diagonal"]) == size
+            want = io.load_reference_hessian(
+                sub_spec if key == "sub" else lift_spec, size
+            )
+            np.testing.assert_array_equal(
+                _bits(io.load_model(paths[key]).reference_hessian),
+                _bits(want),
+            )
+
+    @pytest.mark.parametrize("entry", [-0.0, 1e-300, 2.5])
+    def test_any_other_off_diagonal_keeps_the_array_form(self, tmp_path,
+                                                        entry):
+        href = np.eye(4)
+        href[1, 3] = href[3, 1] = entry
+        full, _ = _subspace_instance(4, 4)
+        result = fit_lfu(full, href)
+        doc, loaded = _round_trip(tmp_path, result)
+        assert isinstance(doc["href"], list)
+        _assert_same_model(loaded, result)
+
+    def test_file_reference_and_restriction_keep_the_array_form(
+            self, tmp_path):
+        path = tmp_path / "href.json"
+        dense = linalg.sym_part(np.random.default_rng(3).standard_normal(
+            (6, 6)))
+        path.write_text(json.dumps({"n": 6, "H": dense.tolist()}))
+        full, _ = _subspace_instance(6, 6)
+        fitted = fit_lfu(full, io.load_reference_hessian(str(path), 6))
+        assert isinstance(io.model_to_dict(fitted)["href"], np.ndarray)
+        _, lift, frame = _lfu_pair(40, 3, np.eye(40), np.eye(3))
+        restricted = restrict(lift, frame)
+        assert isinstance(io.model_to_dict(restricted)["href"], np.ndarray)
+
+    def test_n300_lift_file_is_at_most_015_of_the_parent_form(self):
+        _, lift, _ = _lfu_pair(300, 6, np.eye(300), np.eye(6))
+        doc = io.model_to_dict(lift)
+        assert isinstance(doc["href"], dict)
+        assert doc["ambiguity_basis"]["complement_of"] == "basis"
+        parent = {
+            **doc, "href": lift.reference_hessian,
+            "ambiguity_basis": {
+                "lifted": lift.gradients.explicit,
+                "complement_of": lift.gradients.complement_of,
+            },
+        }
+        assert len(io.dumps(doc)) <= 0.15 * len(reference_dumps(parent))
+
+
+class TestSharedBasis:
+    """A lift's ambiguity is ``col(Q)^perp`` for the ``Q`` of its factored
+    ``"H"``, so it is written as ``"complement_of": "basis"``."""
+
+    def test_other_kernels_are_written_as_arrays(self):
+        full, href = _subspace_instance(40, 3)
+        for result in (fit_mfn(full), fit_lfu(full, href)):
+            kernel = io.model_to_dict(result)["ambiguity_basis"]
+            assert isinstance(kernel["complement_of"], np.ndarray)
+
+    def test_reader_of_the_array_form_rejects_both_new_forms(self):
+        _, lift, _ = _lfu_pair(40, 3, np.eye(40), np.eye(3))
+        doc = json.loads(io.dumps(io.model_to_dict(lift)))
+        with pytest.raises(FileFormatError,
+                           match="field 'href' is not numeric"):
+            reference_read_array(doc["href"], "href")
+        with pytest.raises(FileFormatError, match="is not numeric"):
+            reference_read_array(
+                doc["ambiguity_basis"]["complement_of"], "complement_of"
+            )
+
+
+class TestMalformedCompactForms:
+    @pytest.mark.parametrize("name", [
+        "href missing key", "href unknown key", "href short", "href long",
+        "href 2-D", "href non-numeric", "href non-finite",
+        "basis reference without factored H",
+    ])
+    def test_bad_input_exits_1(self, tmp_path, capsys, name):
+        _, lift, frame = _lfu_pair(6, 2, np.eye(6), np.eye(2))
+        path = tmp_path / "model.json"
+        io.save_model(str(path), lift)
+        frame_path = tmp_path / "frame.json"
+        io.save_frame(str(frame_path), frame)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        diagonal = doc["href"]["diagonal"]
+        assert len(diagonal) == 6
+        if name == "basis reference without factored H":
+            _rewrite(path, "H", lift.model.H.tolist())
+        else:
+            _rewrite(path, "href", {
+                "href missing key": {},
+                "href unknown key": {"diagonal": diagonal, "scale": 1.0},
+                "href short": {"diagonal": diagonal[:-1]},
+                "href long": {"diagonal": diagonal + [1.0]},
+                "href 2-D": {"diagonal": [diagonal]},
+                "href non-numeric": {"diagonal": "abc"},
+                "href non-finite": {"diagonal": [float("inf")] + diagonal[1:]},
+            }[name])
         with pytest.raises(FileFormatError):
             io.load_model(str(path))
         out = tmp_path / "out.json"
