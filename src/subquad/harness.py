@@ -75,10 +75,10 @@ VERIFY_TOL = 1e-8
 #: ``kappa(T)`` the largest over inner blocks. The two pseudo-inverse
 #: solves of a simplex Hessian amplify the rounding of the function values
 #: by about that product: each route's Hessian misses the exact one by
-#: ``c eps kappa(S) kappa(T)``, with ``c`` below 6 on the suites' draws
+#: ``c eps kappa(S) kappa(T)``, with ``c`` below 7.3 on the suites' draws
 #: where the product exceeds 1e3. The bound (about 7e5) holds
 #: ``eps kappa(S) kappa(T)`` 64 times below ``VERIFY_TOL``, so that miss
-#: stays 10 times below it. Only a stencil above it is redrawn, so every
+#: stays 8 times below it. Only a stencil above it is redrawn, so every
 #: other trial keeps its draw.
 STENCIL_CONDITION_MAX = VERIFY_TOL / (64 * linalg.EPS)
 

@@ -427,17 +427,25 @@ def load_bundle(path) -> tuple[DirectionBundle, np.ndarray]:
         raise FileFormatError(f"{path}: S must have {n} rows")
     if "T" in doc and "T_list" in doc:
         raise FileFormatError(f"{path}: give either T or T_list, not both")
+
+    def inner(value, name):
+        block = _as_array(value, name, path)
+        if block.ndim != 2 or block.shape[0] != n:
+            raise FileFormatError(f"{path}: {name} must be 2-D with {n} rows")
+        return block
+
     if "T" in doc:
-        inner = _as_array(doc["T"], "T", path)
-        if inner.ndim != 2 or inner.shape[0] != n:
-            raise FileFormatError(f"{path}: T must have {n} rows")
-        bundle = DirectionBundle(outer, inner)
+        bundle = DirectionBundle(outer, inner(doc["T"], "T"))
     elif "T_list" in doc:
-        blocks = [
-            _as_array(block, f"T_list[{i}]", path)
-            for i, block in enumerate(doc["T_list"])
-        ]
-        bundle = DirectionBundle(outer, blocks)
+        blocks = doc["T_list"]
+        if not isinstance(blocks, list) or len(blocks) != outer.shape[1]:
+            raise FileFormatError(
+                f"{path}: T_list must be a list of {outer.shape[1]} blocks, "
+                "one per column of S"
+            )
+        bundle = DirectionBundle(outer, [
+            inner(block, f"T_list[{i}]") for i, block in enumerate(blocks)
+        ])
     else:
         raise FileFormatError(f"{path}: missing inner directions (T/T_list)")
     x0 = np.zeros(n)

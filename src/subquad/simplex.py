@@ -1,20 +1,22 @@
-"""Simplex derivatives from direction stencils.
+"""Simplex derivatives from direction stencils, in matrix form.
 
 ``gsg`` is the generalized simplex gradient ``pinv(S.T) @ delta`` built from
 forward differences along the columns of ``S``. ``gsh`` is the generalized
-simplex Hessian: row ``i`` of its difference table is the change of the
-simplex gradient over the inner directions ``T_i`` when the base point moves
-by ``s_i``. The result is generally *nonsymmetric*; ``fit_qgsd`` averages
-it with its transpose (``linalg.sym_part``) on request.
-
-``fit_qgsd`` assembles a quadratic model from those pieces over the stencil
+simplex Hessian of Hare, Jarry-Bolduc and Planiden (IMA J. Numer. Anal.
+2024): ``pinv(S.T)`` applied to the table whose row ``i`` is
+``pinv(T_i.T) @ D_i``, with second differences ``D_ij = f(x0 + s_i + t_ij)
+- f(x0 + s_i) - f(x0 + t_ij) + f(x0)``. It is generally *nonsymmetric*;
+``fit_qgsd`` averages it with its transpose (``linalg.sym_part``) on
+request, and builds a quadratic model over the stencil
 
     Y = {x0} | {x0 + s_i} | {x0 + t_ij} | {x0 + s_i + t_ij}.
 
+Each direction matrix is factored once, so ``gsh`` and ``fit_qgsd`` take 2
+SVDs with a shared ``T`` and ``p + 1`` with one block per outer direction.
 Stencil points are constructed once (``x0 + (s_i + t_ij)``) and cached by
-their exact bytes, so shared points are never re-queried from the oracle;
-the refined variant in particular reuses ``x0 + s_i + s_i`` for its doubled
-stencil and costs no extra evaluations.
+their exact bytes, so shared points are never re-queried from the oracle.
+The refined variant needs ``T = S``, so its doubled steps ``x0 + 2 s_i``
+are the table's diagonal cross points ``x0 + (s_i + t_i)``.
 """
 
 from __future__ import annotations
@@ -109,13 +111,11 @@ class StencilEvaluations:
     """Function values over a bundle's stencil, cached by exact point.
 
     Exposes ``f0`` (base value), ``fs[i]`` (outer points), ``ft[i][j]`` and
-    ``fst[i][j]`` (inner and combined points), and optionally
-    ``fdouble[i]`` for ``x0 + 2 s_i``. ``points()`` lists the distinct
-    points actually consumed, in first-use order.
+    ``fst[i][j]`` (inner and combined points). ``points()`` lists the
+    distinct points actually consumed, in first-use order.
     """
 
-    def __init__(self, x0, bundle: DirectionBundle, fn,
-                 with_double: bool = False):
+    def __init__(self, x0, bundle: DirectionBundle, fn):
         x0 = linalg.as_vector(x0, "stencil base point")
         if x0.shape[0] != bundle.n:
             raise DimensionMismatchError(
@@ -143,13 +143,6 @@ class StencilEvaluations:
                 [self._value(x0 + (outer[:, i] + block[:, j]))
                  for j in range(q)]
             ))
-        if with_double:
-            self.fdouble = np.array(
-                [self._value(x0 + (outer[:, i] + outer[:, i]))
-                 for i in range(bundle.p)]
-            )
-        else:
-            self.fdouble = None
 
     def _value(self, point: np.ndarray) -> float:
         key = point.tobytes()
@@ -188,28 +181,31 @@ def gsg(x0, directions, fn, rank_tol: float | None = None) -> np.ndarray:
     return linalg.pinv_apply(outer.T, delta, rank_tol)
 
 
-def _gsh_from_evals(bundle: DirectionBundle, evals: StencilEvaluations,
-                    rank_tol) -> np.ndarray:
-    rows = np.empty((bundle.p, bundle.n))
-    for i, block in enumerate(bundle.blocks):
-        moved = linalg.pinv_apply(
-            block.T, evals.fst[i] - evals.fs[i], rank_tol
-        )
-        here = linalg.pinv_apply(block.T, evals.ft[i] - evals.f0, rank_tol)
-        rows[i] = moved - here
-    return linalg.pinv_apply(bundle.S.T, rows, rank_tol)
+def _hessian_table(bundle: DirectionBundle, evals: StencilEvaluations,
+                   rank_tol) -> np.ndarray:
+    """The ``p x n`` table whose row ``i`` is ``pinv(T_i.T) @ D_i``: one
+    solve on the ``q x p`` difference table for a shared ``T``, one per
+    block otherwise."""
+    diffs = [(fst - fs) - (ft - evals.f0)
+             for fst, fs, ft in zip(evals.fst, evals.fs, evals.ft)]
+    if bundle.shared:
+        return linalg.pinv_apply(
+            bundle.T.T, np.column_stack(diffs), rank_tol
+        ).T
+    return np.array([
+        linalg.pinv_apply(block.T, diff, rank_tol)
+        for block, diff in zip(bundle.blocks, diffs)
+    ])
 
 
 def gsh(x0, bundle: DirectionBundle, fn,
         rank_tol: float | None = None) -> np.ndarray:
-    """Generalized simplex Hessian (raw, generally nonsymmetric).
-
-    Row ``i`` of the difference table is the simplex gradient over ``T_i``
-    at ``x0 + s_i`` minus the one at ``x0``; the table is then mapped
-    through ``pinv(S.T)``.
-    """
+    """Generalized simplex Hessian (raw, generally nonsymmetric):
+    ``pinv(S.T)`` applied to the Hessian table."""
     evals = StencilEvaluations(x0, bundle, fn)
-    return _gsh_from_evals(bundle, evals, rank_tol)
+    return linalg.pinv_apply(
+        bundle.S.T, _hessian_table(bundle, evals, rank_tol), rank_tol
+    )
 
 
 def fit_qgsd(x0, bundle: DirectionBundle, fn,
@@ -221,10 +217,11 @@ def fit_qgsd(x0, bundle: DirectionBundle, fn,
     ``variant="simple"`` uses the simplex gradient over ``S`` and the
     simplex Hessian as-is. ``variant="refined"`` requires the inner
     directions to equal ``S`` (shared) and replaces the gradient by the
-    extrapolation ``2 gsg(x0; S) - gsg(x0; 2S)``; when ``S`` has full
-    column rank the resulting model interpolates ``f`` on the whole
-    stencil. The exact points consumed are reported in
-    ``sample_points``.
+    extrapolation ``2 gsg(x0; S) - gsg(x0; 2S)``, solved as
+    ``pinv(S.T) @ (2 (fs - f0) - (f(x0 + 2 s_i) - f0) / 2)``; when ``S``
+    has full column rank the resulting model interpolates ``f`` on the
+    whole stencil. The gradient rides along the Hessian's outer solve as
+    one more column. The exact points consumed are in ``sample_points``.
     """
     if variant not in VARIANTS:
         raise VariantPreconditionError(
@@ -237,14 +234,14 @@ def fit_qgsd(x0, bundle: DirectionBundle, fn,
         raise VariantPreconditionError(
             "the refined variant needs the inner directions to equal S"
         )
-    evals = StencilEvaluations(x0, bundle, fn, with_double=refined)
-    grad = linalg.pinv_apply(bundle.S.T, evals.fs - evals.f0, rank_tol)
+    evals = StencilEvaluations(x0, bundle, fn)
+    rhs = evals.fs - evals.f0
     if refined:
-        doubled = linalg.pinv_apply(
-            2.0 * bundle.S.T, evals.fdouble - evals.f0, rank_tol
-        )
-        grad = 2.0 * grad - doubled
-    hess = _gsh_from_evals(bundle, evals, rank_tol)
+        doubled = np.array([fst[i] for i, fst in enumerate(evals.fst)])
+        rhs = 2.0 * rhs - 0.5 * (doubled - evals.f0)
+    stacked = np.column_stack([_hessian_table(bundle, evals, rank_tol), rhs])
+    solved = linalg.pinv_apply(bundle.S.T, stacked, rank_tol)
+    hess, grad = solved[:, :-1], solved[:, -1]
     if symmetrize_hessian:
         hess = linalg.sym_part(hess)
     model = QuadraticModel(evals.x0, evals.f0, grad, hess)

@@ -284,6 +284,44 @@ class TestTypedLoaderErrors:
         assert "correction_applied" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("T_list", 5), ("T_list", None), ("T_list", "abc"), ("T_list", {}),
+        ("T_list", [[1.0, 0.0], [0.0, 1.0]]),
+        ("T_list", [[[1.0], [0.0]]]),
+        ("T_list", [[[1.0], [0.0]]] * 3),
+        ("T_list", [[[1.0], [0.0], [0.0]], [[1.0], [0.0]]]),
+        ("T", [1.0, 0.0]), ("T", [[1.0, 0.0, 0.0]]),
+    ], ids=["int", "null", "string", "object", "1-D blocks", "too few",
+            "too many", "block rows", "1-D T", "T rows"])
+    def test_inner_directions_must_fit_the_outer(self, tmp_path, key,
+                                                 value):
+        """One 2-D, n-row block per column of S, or one shared block."""
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(
+            {"n": 2, "S": [[1.0, 0.0], [0.0, 1.0]], key: value}
+        ))
+        with pytest.raises(FileFormatError, match=key):
+            io.load_bundle(str(path))
+
+    def test_per_direction_blocks_load(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({"n": 2, "S": [[1.0, 0.0], [0.0, 1.0]],
+                                    "T_list": [[[1.0], [0.0]]] * 2}))
+        bundle, _ = io.load_bundle(str(path))
+        assert not bundle.shared and len(bundle.blocks) == 2
+
+    @pytest.mark.parametrize("value", [5, None, [[1.0, 0.0], [0.0, 1.0]]])
+    def test_cli_reports_bad_inner_blocks(self, tmp_path, capsys, value):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(
+            {"n": 2, "S": [[1.0, 0.0], [0.0, 1.0]], "T_list": value}
+        ))
+        code = main(["fit", "--kind", "qgsd", "--function", "sphere",
+                     "--in", str(path), "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_cli_reports_bool_constant(self, tmp_path, capsys):
         files = _valid_documents(tmp_path)
         path = files["model"][0]

@@ -7,18 +7,23 @@ as the oracle. Stencil bookkeeping (shared points, evaluation budgets)
 is pinned by counting oracle calls.
 """
 
+from functools import partial
+
 import numpy as np
 import numpy.linalg as la
 import pytest
 
+from subquad import linalg
 from subquad.errors import (
     DuplicatePointError,
     EmptySetError,
     VariantPreconditionError,
 )
+from subquad.functions import random_cubic, random_trig
 from subquad.geometry import FunctionOracle
 from subquad.linalg import sym_part
 from subquad.simplex import (
+    VARIANTS,
     DirectionBundle,
     StencilEvaluations,
     fit_qgsd,
@@ -149,16 +154,21 @@ class TestStencilBookkeeping:
         assert ev.n_points == expected
         assert oracle.count == expected
 
-    def test_budget_with_doubles_costs_nothing_extra(self):
-        """The doubled outer steps x0 + 2 s_i coincide with the diagonal
-        cross points x0 + s_i + s_i already in the table."""
+    def test_refined_fit_costs_nothing_extra(self, rng):
+        """The refined gradient's doubled steps x0 + 2 s_i are the diagonal
+        cross points x0 + s_i + s_i already in the table: both variants
+        consume the same 1 + p + p(p+1)/2 points."""
         p = 3
-        s = np.eye(4)[:, :p]
-        oracle = FunctionOracle(lambda x: float(x @ x))
-        ev = StencilEvaluations(
-            np.zeros(4), DirectionBundle(s, s), oracle, with_double=True
-        )
-        assert oracle.count == 1 + p + p * (p + 1) // 2
+        s = rng.standard_normal((4, p))
+        x0 = rng.standard_normal(4)
+        points = []
+        for variant in VARIANTS:
+            oracle = FunctionOracle(lambda x: float(x @ x))
+            result = fit_qgsd(x0, DirectionBundle(s, s), oracle,
+                              variant=variant)
+            assert oracle.count == 1 + p + p * (p + 1) // 2
+            points.append(result.sample_points)
+        np.testing.assert_array_equal(points[0], points[1])
 
     def test_budget_separate_directions(self, rng):
         s = rng.standard_normal((5, 2))
@@ -253,3 +263,69 @@ class TestCombinedFit:
         g = gsg(np.zeros(3), s, lambda x: float(b @ x))
         proj = s @ la.pinv(s)
         np.testing.assert_allclose(g, proj @ b, atol=1e-11)
+
+
+def _count_svds(monkeypatch):
+    """Record the shape of every truncated SVD taken from now on."""
+    shapes = []
+    svd = linalg._truncated_svd
+
+    def counting(mat, rank_tol):
+        shapes.append(mat.shape)
+        return svd(mat, rank_tol)
+
+    monkeypatch.setattr(linalg, "_truncated_svd", counting)
+    return shapes
+
+
+_ESTIMATORS = [gsh, partial(fit_qgsd, variant="simple"),
+               partial(fit_qgsd, variant="refined")]
+
+
+class TestFactorizationCount:
+    """Each direction matrix is factored once: the whole difference table
+    goes through one solve of a shared T, and the Hessian table and the
+    gradient go through one solve of S together."""
+
+    @pytest.mark.parametrize("estimate", _ESTIMATORS,
+                             ids=["gsh", "simple", "refined"])
+    def test_shared_inner_directions_take_two(self, monkeypatch, rng,
+                                              estimate):
+        s = rng.standard_normal((6, 5))
+        f = random_trig(6, rng)
+        shapes = _count_svds(monkeypatch)
+        estimate(rng.standard_normal(6), DirectionBundle(s, s), f)
+        assert shapes == [(5, 6), (5, 6)]
+
+    @pytest.mark.parametrize("estimate", _ESTIMATORS[:2],
+                             ids=["gsh", "simple"])
+    def test_one_per_inner_block(self, monkeypatch, rng, estimate):
+        p = 4
+        s = rng.standard_normal((6, p))
+        blocks = [rng.standard_normal((6, q)) for q in (1, 3, 2, 6)]
+        shapes = _count_svds(monkeypatch)
+        estimate(np.zeros(6), DirectionBundle(s, blocks), random_trig(6, rng))
+        assert len(shapes) == p + 1
+
+
+class TestGradientOrder:
+    """On a square nonsingular S scaled by h, the simple gradient misses
+    the exact one by O(h) and the refined (Richardson) one by O(h^2):
+    halving h about halves the first miss and quarters the second."""
+
+    @pytest.mark.parametrize("draw", [random_cubic, random_trig])
+    def test_halving_the_step(self, rng, draw):
+        n = 5
+        f = draw(n, rng)
+        x0 = rng.standard_normal(n)
+        directions = la.qr(rng.standard_normal((n, n)))[0]
+        for variant, order in (("simple", 2.0), ("refined", 4.0)):
+            misses = []
+            for h in (1e-2, 5e-3):
+                s = h * directions
+                g = fit_qgsd(x0, DirectionBundle(s, s), f,
+                             variant=variant).model.g
+                misses.append(la.norm(g - f.gradient(x0)))
+            # rounding, about eps |f| / h, sits far below both misses
+            assert misses[1] > 1e3 * linalg.EPS * abs(f(x0)) / 5e-3
+            assert 0.9 * order < misses[0] / misses[1] < 1.1 * order
