@@ -14,9 +14,17 @@ subspace) the fitted objects convert as
 * simplex gradient/Hessian: ``g = Q ghat`` and ``H = Q Hhat Q^T`` whenever
   the stencil directions lie in ``col(Q)``.
 
+A subspace model anchored at ``xhat0`` lifts to a model anchored at
+``x0 + Q xhat0``, and ``restrict`` re-anchors a full-space model at the
+frame's ``x0`` (its constant becomes the value there), so the converted
+models agree pointwise whatever the anchors.
+
 ``coincidence_check`` probes two models numerically: full-space and
 subspace models must agree at ``x0 + Q xhat`` and, for the minimum-norm
 pairing, also at ``x0 + Q xhat + v`` with ``v`` orthogonal to the subspace.
+Its probes are one draw and one matrix product per probe set; a lift's unit
+complement steps go through its ``hessian_factors``, and a probe value that
+is not finite raises :class:`~subquad.errors.NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    NonFiniteError,
     NotInSubspaceError,
     ReferenceMismatchError,
     VariantPreconditionError,
@@ -122,6 +131,13 @@ def lifted_hessian(basis: np.ndarray, core: np.ndarray,
     return linalg.sym_part(lifted)
 
 
+def _lift_anchor(sub: ModelResult, frame: SubspaceFrame) -> np.ndarray:
+    """``x0 + Q xhat0``, the full-space point of the subspace model's
+    anchor ``xhat0`` (``x0`` itself when ``xhat0`` is the origin)."""
+    xhat0 = sub.model.x0
+    return frame.x0 + frame.Q @ xhat0 if xhat0.any() else frame.x0
+
+
 def lift_mn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
     """Lift a subspace minimum-norm (or determined) fit to full space.
 
@@ -132,7 +148,7 @@ def lift_mn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
     _check_sub_result(sub, frame, ("mn", "dqi"))
     grad = frame.Q @ sub.model.g
     hess = lifted_hessian(frame.Q, sub.model.H)
-    model = QuadraticModel(frame.x0, sub.model.c, grad, hess)
+    model = QuadraticModel(_lift_anchor(sub, frame), sub.model.c, grad, hess)
     family = GradientFamily(grad, np.zeros((frame.n, 0)))
     return ModelResult(model, family, "mn",
                        hessian_factors=(frame.Q, sub.model.H))
@@ -147,7 +163,9 @@ def lift_mfn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
     _check_sub_result(sub, frame, ("mfn",))
     hess = lifted_hessian(frame.Q, sub.model.H)
     family = _lift_family(sub.gradients, frame)
-    model = QuadraticModel(frame.x0, sub.model.c, family.canonical, hess)
+    model = QuadraticModel(
+        _lift_anchor(sub, frame), sub.model.c, family.canonical, hess
+    )
     return ModelResult(model, family, "mfn",
                        hessian_factors=(frame.Q, sub.model.H))
 
@@ -188,7 +206,9 @@ def lift_lfu(sub: ModelResult, frame: SubspaceFrame,
     correction = reference_correction(href, frame.Q)
     hess = lifted_hessian(frame.Q, sub.model.H, correction)
     family = _lift_family(sub.gradients, frame)
-    model = QuadraticModel(frame.x0, sub.model.c, family.canonical, hess)
+    model = QuadraticModel(
+        _lift_anchor(sub, frame), sub.model.c, family.canonical, hess
+    )
     return ModelResult(
         model, family, "lfu",
         reference_hessian=href,
@@ -250,9 +270,10 @@ def hat_directions(directions, frame: SubspaceFrame,
 
 
 def _restrict_family(family: GradientFamily, frame: SubspaceFrame,
-                     drop_tol: float = 1e-12) -> GradientFamily:
-    """``Q^T`` of the family, keeping directions that project above
-    ``drop_tol``.
+                     shift=None, drop_tol: float = 1e-12) -> GradientFamily:
+    """``Q^T`` of the family, its canonical member moved by ``shift`` (the
+    gradient change to the frame's anchor, ``None`` for none), keeping
+    directions that project above ``drop_tol``.
 
     A unit vector ``c`` of the implicit complement ``col(K)^perp``
     projects to at most ``||Q - K K^T Q||_F`` plus the rounding in
@@ -260,7 +281,8 @@ def _restrict_family(family: GradientFamily, frame: SubspaceFrame,
     has no explicit directions (every fit and lift of a spanning set),
     all of the family would be dropped, so the complement is not built.
     """
-    canonical = frame.Q.T @ family.canonical
+    canonical = family.canonical if shift is None else family.canonical + shift
+    canonical = frame.Q.T @ canonical
     kernel = family.complement_of
     if kernel is not None and not family.explicit.shape[1]:
         outside = np.linalg.norm(frame.Q - kernel @ (kernel.T @ frame.Q))
@@ -275,33 +297,48 @@ def _restrict_family(family: GradientFamily, frame: SubspaceFrame,
     return GradientFamily(canonical, projected)
 
 
+def _restrict_model(model: QuadraticModel, frame: SubspaceFrame):
+    """``(restricted model, shift)``: the model re-anchored at the frame's
+    ``x0`` and projected, and ``shift = sym(H) (frame.x0 - x0)``, the
+    change of gradient between the anchors (``None`` when they agree, so
+    the constant and gradient keep their bits)."""
+    if model.n != frame.n:
+        raise DimensionMismatchError(
+            f"model dimension {model.n} does not match frame "
+            f"dimension {frame.n}"
+        )
+    step = frame.x0 - model.x0
+    const, grad, shift = model.c, model.g, None
+    if step.any():
+        shift = 0.5 * (model.H @ step + step @ model.H)
+        const, grad = model(frame.x0), grad + shift
+    restricted = QuadraticModel(
+        np.zeros(frame.d), const, frame.Q.T @ grad,
+        frame.Q.T @ model.H @ frame.Q,
+    )
+    return restricted, shift
+
+
 def restrict(obj, frame: SubspaceFrame):
     """Restrict a full-space object to the frame's subspace.
 
     Accepts a gradient vector (returns ``Q^T g``), a square matrix
     (returns ``Q^T H Q``), a :class:`QuadraticModel`, or a whole
-    :class:`ModelResult`; models are re-anchored at the subspace origin
-    with unchanged constant term.
+    :class:`ModelResult`. Models are re-anchored at the subspace origin,
+    the frame's ``x0``: the constant becomes the model's value there and
+    the gradient (and a family's canonical member) gains
+    ``sym(H) (frame.x0 - x0)`` before projecting, so the restriction
+    agrees with the model at every frame point.
     """
     if isinstance(obj, ModelResult):
-        model = restrict(obj.model, frame)
-        family = _restrict_family(obj.gradients, frame)
+        model, shift = _restrict_model(obj.model, frame)
+        family = _restrict_family(obj.gradients, frame, shift)
         href = obj.reference_hessian
         if href is not None:
             href = linalg.sym_part(frame.Q.T @ href @ frame.Q)
         return ModelResult(model, family, obj.kind, reference_hessian=href)
     if isinstance(obj, QuadraticModel):
-        if obj.n != frame.n:
-            raise DimensionMismatchError(
-                f"model dimension {obj.n} does not match frame "
-                f"dimension {frame.n}"
-            )
-        return QuadraticModel(
-            np.zeros(frame.d),
-            obj.c,
-            frame.Q.T @ obj.g,
-            frame.Q.T @ obj.H @ frame.Q,
-        )
+        return _restrict_model(obj, frame)[0]
     arr = np.asarray(obj, dtype=float)
     if arr.ndim == 1:
         vec = linalg.as_vector(arr, "gradient")
@@ -324,6 +361,37 @@ def _unwrap_model(obj) -> QuadraticModel:
     return obj.model if isinstance(obj, ModelResult) else obj
 
 
+def _row_values(model: QuadraticModel, points: np.ndarray) -> np.ndarray:
+    """The model's values at the rows of ``points``, in one product."""
+    steps = points - model.x0
+    curvature = np.sum((steps @ model.H.T) * steps, axis=1)
+    return model.c + steps @ model.g + 0.5 * curvature
+
+
+def _column_curvatures(full, steps: np.ndarray) -> np.ndarray:
+    """``s^T H s`` for each column ``s`` of ``steps``.
+
+    A lift (a :class:`ModelResult` with ``hessian_factors = (B, Hhat)``)
+    gives it as ``(B^T s)^T Hhat (B^T s)``, plus ``s^T Href s -
+    (B^T s)^T (B^T Href B) (B^T s)`` for least change, in place of the
+    ``n x n`` product ``H @ steps``.
+    """
+    factors = getattr(full, "hessian_factors", None)
+    if factors is None:
+        return np.sum((_unwrap_model(full).H @ steps) * steps, axis=0)
+    basis, core = factors
+    hatted = basis.T @ steps
+    curvature = np.sum((core @ hatted) * hatted, axis=0)
+    if full.kind == "lfu":
+        href = full.reference_hessian
+        restricted = basis.T @ href @ basis
+        curvature = curvature + (
+            np.sum((href @ steps) * steps, axis=0)
+            - np.sum((restricted @ hatted) * hatted, axis=0)
+        )
+    return curvature
+
+
 def coincidence_check(full, sub, frame: SubspaceFrame,
                       probes: int = 16, seed: int = 0) -> ConversionReport:
     """Measure where a full-space and a subspace model (dis)agree.
@@ -335,6 +403,13 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
     (``orthogonal_value_gap``). One deterministic unit probe per
     complement basis vector is always included and reported separately.
     Deterministic for a given seed.
+
+    Every probe comes from one ``(probes, d + n - d)`` draw, the stream
+    of a per-probe ``d``-then-``(n - d)`` draw. The subspace, on-subspace
+    and off-subspace values each take one matrix product, each relative
+    to its own model's ``x0``; the unit complement steps of a lift go
+    through its factors (see ``_column_curvatures``). A probe value that
+    is not finite raises :class:`NonFiniteError`.
     """
     full_model = _unwrap_model(full)
     sub_model = _unwrap_model(sub)
@@ -353,32 +428,39 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
     rng = np.random.default_rng(seed)
     complement = frame.complement
     n_comp = complement.shape[1]
+    count = max(int(probes), 0)
 
-    sub_gap = 0.0
-    orth_gap = 0.0
-    value_scale = 1.0
-    for _ in range(int(probes)):
-        xhat = probe_scale * rng.standard_normal(frame.d)
-        sub_value = sub_model(xhat)
-        value_scale = max(value_scale, abs(sub_value))
-        on_subspace = frame.x0 + frame.Q @ xhat
-        sub_gap = max(sub_gap, abs(full_model(on_subspace) - sub_value))
-        if n_comp:
-            v = complement @ (probe_scale * rng.standard_normal(n_comp))
-            orth_gap = max(
-                orth_gap, abs(full_model(on_subspace + v) - sub_value)
-            )
-    base_value = sub_model(np.zeros(frame.d))
+    draws = probe_scale * rng.standard_normal((count, frame.d + n_comp))
+    xhat, coeffs = draws[:, :frame.d], draws[:, frame.d:]
+    on_subspace = frame.x0 + xhat @ frame.Q.T
     # full_model at x0 + complement[:, j], every column in one product
     steps = (frame.x0[:, None] + complement) - full_model.x0[:, None]
-    comp_values = full_model.c + full_model.g @ steps + 0.5 * np.sum(
-        (full_model.H @ steps) * steps, axis=0
-    )
-    comp_gaps = np.abs(comp_values - base_value)
-    if n_comp:
-        orth_gap = max(orth_gap, float(np.max(comp_gaps)))
-    else:
-        orth_gap = sub_gap
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the subspace model at every probe and, last, at the origin
+        sub_values = _row_values(
+            sub_model, np.vstack([xhat, np.zeros(frame.d)])
+        )
+        on_values = _row_values(full_model, on_subspace)
+        off_values = _row_values(
+            full_model, on_subspace + coeffs @ complement.T
+        )
+        comp_values = full_model.c + full_model.g @ steps + 0.5 * (
+            _column_curvatures(full, steps)
+        )
+        values = (sub_values, on_values, off_values, comp_values)
+        if not all(np.isfinite(part).all() for part in values):
+            raise NonFiniteError(
+                "a probe value is not finite, so the value gaps are "
+                "undefined"
+            )
+        sub_values, base_value = sub_values[:-1], sub_values[-1]
+        value_scale = float(np.max(np.abs(sub_values), initial=1.0))
+        sub_gap = float(np.max(np.abs(on_values - sub_values), initial=0.0))
+        comp_gaps = np.abs(comp_values - base_value)
+        orth_gap = float(max(
+            np.max(np.abs(off_values - sub_values), initial=0.0),
+            np.max(comp_gaps),
+        )) if n_comp else sub_gap
 
     lifted_g = frame.Q @ sub_model.g
     lifted_h = frame.Q @ sub_model.H @ frame.Q.T
@@ -386,11 +468,11 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
     return ConversionReport(
         gradient_gap=float(np.linalg.norm(full_model.g - lifted_g)),
         hessian_gap=float(np.linalg.norm(full_model.H - lifted_h)),
-        subspace_value_gap=float(sub_gap),
-        orthogonal_value_gap=float(orth_gap),
+        subspace_value_gap=sub_gap,
+        orthogonal_value_gap=orth_gap,
         correction_applied=_correction_counts(correction, full_model.H),
-        complement_probe_gaps=tuple(float(v) for v in comp_gaps),
-        value_scale=float(value_scale),
+        complement_probe_gaps=tuple(comp_gaps.tolist()),
+        value_scale=value_scale,
         probe_scale=probe_scale,
         probes=int(probes),
         seed=int(seed),

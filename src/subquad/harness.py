@@ -21,6 +21,11 @@ suite and negative-control family. A new per-trial draw (a sample radius,
 say) is a new ``InstanceSpec`` field seeded there from a new part, and a
 new tier (a few large-``n`` trials) is one more ``_run_rows`` row with its
 own label and ranges, so every existing draw is kept.
+
+Within a trial the value probes (``bridge.coincidence_check``) and the
+gradient-family membership samples each come from one draw and are checked
+one product per probe set. A trial's gap is the worst of its parts, and a
+NaN part is the worst wherever it sits, so it fails the trial.
 """
 
 from __future__ import annotations
@@ -310,10 +315,19 @@ def _judged(suite, run_trial):
     return judge
 
 
+def _max_gap(gaps):
+    """The largest of ``gaps``, or a NaN among them wherever it sits
+    (``max`` alone keeps a NaN only in first place)."""
+    gaps = list(gaps)
+    nan = [gap for gap in gaps if gap != gap]
+    return nan[0] if nan else max(gaps)
+
+
 def _worst(*gaps):
     """``(worst, detail)`` of ordered ``(name, gap)`` pairs; a pair named
-    ``None`` counts toward the worst but is not shown."""
-    worst = max(gap for _, gap in gaps)
+    ``None`` counts toward the worst but is not shown. A NaN gap is the
+    worst."""
+    worst = _max_gap(gap for _, gap in gaps)
     detail = " ".join(
         f"{name}={gap:.2e}" for name, gap in gaps if name is not None
     )
@@ -336,27 +350,34 @@ def _fit_gaps(a, b, g_scale, h_scale):
 
 
 def _family_membership_gap(full, sub, frame, rng, samples=20):
-    """Worst two-way membership residual between the gradient families."""
+    """Worst two-way membership residual between the gradient families.
+
+    The ``samples`` draws come from one ``standard_normal`` call whose
+    rows hold, in the stream order of one draw each per sample, the
+    full-space coefficients, the subspace coefficients and the orthogonal
+    shift; each direction is checked for every sample in one product.
+    """
     basis, complement = frame.Q, frame.complement
     amb_full = full.gradients.ambiguity_basis
     amb_sub = sub.gradients.ambiguity_basis
     scale = max(1.0, float(np.linalg.norm(sub.gradients.canonical)))
-    worst = 0.0
-    for _ in range(samples):
-        # full-space member -> its subspace part must be a subspace member
-        coeffs = scale * rng.standard_normal(amb_full.shape[1])
-        member_full = full.gradients.canonical + amb_full @ coeffs
-        resid = basis.T @ member_full - sub.gradients.canonical
-        resid = resid - amb_sub @ (amb_sub.T @ resid)
-        worst = max(worst, float(np.linalg.norm(resid)) / scale)
-        # subspace member plus any orthogonal shift -> full-space member
-        chat = scale * rng.standard_normal(amb_sub.shape[1])
-        shift = complement @ (scale * rng.standard_normal(complement.shape[1]))
-        lifted = basis @ (sub.gradients.canonical + amb_sub @ chat) + shift
-        resid = lifted - full.gradients.canonical
-        resid = resid - amb_full @ (amb_full.T @ resid)
-        worst = max(worst, float(np.linalg.norm(resid)) / scale)
-    return worst
+    widths = (amb_full.shape[1], amb_sub.shape[1], complement.shape[1])
+    draws = scale * rng.standard_normal((samples, sum(widths)))
+    coeffs, chat, shift = np.split(
+        draws, [widths[0], widths[0] + widths[1]], axis=1
+    )
+    # full-space member -> its subspace part must be a subspace member
+    members = full.gradients.canonical + coeffs @ amb_full.T
+    down = members @ basis - sub.gradients.canonical
+    down = down - (down @ amb_sub) @ amb_sub.T
+    # subspace member plus any orthogonal shift -> full-space member
+    lifted = (sub.gradients.canonical + chat @ amb_sub.T) @ basis.T
+    up = lifted + shift @ complement.T - full.gradients.canonical
+    up = up - (up @ amb_full) @ amb_full.T
+    residuals = np.concatenate(
+        [np.linalg.norm(down, axis=1), np.linalg.norm(up, axis=1)]
+    )
+    return float(np.max(residuals / scale, initial=0.0))
 
 
 # Every suite's trial function takes ``(spec, trial, probes, seed_of)``
@@ -615,7 +636,8 @@ def _trial_qgsd_both(spec, trial, probes, seed_of):
     """Both variants on the same dimensions."""
     gap_s, detail_s = _trial_qgsd(spec, trial, probes, seed_of, "simple")
     gap_r, detail_r = _trial_qgsd(spec, trial, probes, seed_of, "refined")
-    return max(gap_s, gap_r), f"simple[{detail_s}] refined[{detail_r}]"
+    return (_max_gap((gap_s, gap_r)),
+            f"simple[{detail_s}] refined[{detail_r}]")
 
 
 #: Suite name -> trial function; ``qgsd`` runs both variants per trial.

@@ -3,9 +3,10 @@
 Reals are written with 17 significant digits, which pins down an IEEE
 double uniquely: reading a file back reproduces the in-memory coefficients
 bit for bit. Matrices are nested row-major lists. A float array is rendered
-in one formatting call per 2-D block (a vector is the one-row case), from a
-format string built with one vectorized test of which entries are integral,
-and the bytes match ``format_real`` applied element by element.
+in one formatting call per 2-D block (a vector is the one-row case), and so
+is a non-empty list or tuple of floats, from a format string built with one
+vectorized test of which entries are integral; the bytes match
+``format_real`` applied element by element.
 
 A model's gradient ambiguity is written in the form its
 :class:`~subquad.models.GradientFamily` holds: an explicit basis as an
@@ -95,6 +96,10 @@ def _float_rows(block: np.ndarray) -> list:
     return (fmt[:-2] % tuple(values)).split("\n")
 
 
+#: Scalar types a list renders as one float row (``bool`` is not one).
+_FLOATS = (float, np.floating)
+
+
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with 17-significant-digit reals."""
     pad = "  " * indent
@@ -115,6 +120,8 @@ def dumps(obj, indent: int = 0) -> str:
         rows = _float_rows(np.atleast_2d(obj.astype(np.float64, copy=False)))
         return rows[0] if obj.ndim == 1 else _layout(rows, indent)
     if isinstance(obj, (list, tuple)):
+        if obj and all(isinstance(val, _FLOATS) for val in obj):
+            return _float_rows(np.array([obj], dtype=np.float64))[0]
         return _layout([dumps(val, indent + 1) for val in obj], indent)
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
@@ -164,7 +171,7 @@ def _as_array(value, name, path="document") -> np.ndarray:
         raise FileFormatError(
             f"{path}: field {name!r} is not numeric"
         ) from exc
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FileFormatError(f"{path}: field {name!r} has non-finite entries")
     return arr
 

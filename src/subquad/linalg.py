@@ -46,7 +46,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise DimensionMismatchError(
             f"{name} must be 2-D, got shape {mat.shape}"
         )
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
     return mat
 
@@ -58,7 +58,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
         raise DimensionMismatchError(
             f"{name} must be 1-D, got shape {vec.shape}"
         )
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise NonFiniteError(f"{name} contains NaN or Inf entries")
     return vec
 
@@ -169,7 +169,7 @@ def pinv_apply(a, b, rank_tol: float | None = None) -> np.ndarray:
     """
     mat = as_matrix(a, "pinv_apply matrix")
     rhs = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise NonFiniteError("pinv_apply right-hand side contains NaN or Inf")
     if rhs.shape[0] != mat.shape[0]:
         raise DimensionMismatchError(

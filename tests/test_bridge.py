@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import axis_frame, unit_square_set
-from subquad import linalg
+from subquad import linalg, models
 from subquad.bridge import (
     coincidence_check,
     hat_directions,
@@ -21,6 +21,7 @@ from subquad.bridge import (
     restrict,
 )
 from subquad.errors import (
+    NonFiniteError,
     NotInSubspaceError,
     ReferenceMismatchError,
     VariantPreconditionError,
@@ -477,4 +478,227 @@ class TestFactoredProjections:
         np.testing.assert_allclose(
             report.complement_probe_gaps, want, rtol=0,
             atol=1e-13 * max(1.0, abs(base)),
+        )
+
+
+def _pointwise_gaps(full, sub, frame, probes, seed):
+    """``(subspace_value_gap, orthogonal_value_gap, value_scale)`` from a
+    per-probe loop of scalar model calls, drawing ``d`` then ``n - d``
+    normals per probe."""
+    full, sub = getattr(full, "model", full), getattr(sub, "model", sub)
+    scale = 1.0
+    if frame.dhat is not None and frame.dhat.shape[0]:
+        scale = max(float(np.median(np.linalg.norm(frame.dhat, axis=1))),
+                    1e-8)
+    rng = np.random.default_rng(seed)
+    comp = frame.complement
+    on_gap = off_gap = 0.0
+    value_scale = 1.0
+    for _ in range(probes):
+        xhat = scale * rng.standard_normal(frame.d)
+        value = sub(xhat)
+        value_scale = max(value_scale, abs(value))
+        x = frame.x0 + frame.Q @ xhat
+        on_gap = max(on_gap, abs(full(x) - value))
+        if comp.shape[1]:
+            v = comp @ (scale * rng.standard_normal(comp.shape[1]))
+            off_gap = max(off_gap, abs(full(x + v) - value))
+    base = sub(np.zeros(frame.d))
+    for column in comp.T:
+        off_gap = max(off_gap, abs(full(frame.x0 + column) - base))
+    if not comp.shape[1]:
+        off_gap = on_gap
+    return on_gap, off_gap, value_scale
+
+
+def _reanchored(model, x1):
+    """The same quadratic as ``model``, anchored at ``x1``."""
+    step = x1 - model.x0
+    grad = model.g + linalg.sym_part(model.H) @ step
+    return QuadraticModel(x1, model(x1), grad, model.H)
+
+
+def _probe_case(case):
+    """``(full, sub, frame)`` whose gaps are of order one."""
+    rng = np.random.default_rng(401)
+    if case == "full-dimensional":
+        n = 4
+        disp = rng.standard_normal((6, n))
+        ss = SampleSet(np.zeros(n), disp, rng.standard_normal(7))
+        basis, _ = linalg.orthonormal_columns(rng.standard_normal((n, n)))
+        frame = SubspaceFrame(np.zeros(n), basis, dhat=disp @ basis)
+        sub = fit_mn(hat_sampleset(ss, frame)).model
+        full = fit_mn(ss).model
+    else:
+        full_set, frame = planted_instance(rng, n=8, d=3, m=5)
+        fit = fit_lfu(hat_sampleset(full_set, frame), np.eye(3))
+        sub, full = fit.model, lift_lfu(fit, frame, np.eye(8)).model
+        if case == "sub anchored off the origin":
+            sub = _reanchored(sub, np.array([0.4, 0.1, -0.2]))
+    full = QuadraticModel(full.x0, full.c + 0.25, full.g, full.H)
+    return full, sub, frame
+
+
+class TestArrayProbes:
+    """The report's probes are one draw and one product per probe set;
+    they give the gaps of the per-probe loop of scalar model calls."""
+
+    @pytest.mark.parametrize("probes", [0, 1, 16])
+    @pytest.mark.parametrize("case", [
+        "lift", "sub anchored off the origin", "full-dimensional",
+    ])
+    def test_matches_pointwise_loop(self, case, probes):
+        full, sub, frame = _probe_case(case)
+        report = coincidence_check(full, sub, frame, probes=probes, seed=7)
+        on_gap, off_gap, value_scale = _pointwise_gaps(
+            full, sub, frame, probes, 7
+        )
+        assert not probes or min(on_gap, off_gap) > 0.2
+        got = (report.subspace_value_gap, report.orthogonal_value_gap,
+               report.value_scale)
+        np.testing.assert_allclose(
+            got, (on_gap, off_gap, value_scale), rtol=1e-13,
+            atol=1e-13 * value_scale,
+        )
+        if not probes:
+            assert report.value_scale == 1.0
+
+    @pytest.mark.parametrize("probes", [0, 1, 16])
+    def test_evaluate_runs_at_most_once(self, monkeypatch, probes):
+        calls = []
+        evaluate = models.evaluate
+        monkeypatch.setattr(
+            models, "evaluate",
+            lambda model, x: calls.append(1) or evaluate(model, x),
+        )
+        for case in ("lift", "sub anchored off the origin"):
+            full, sub, frame = _probe_case(case)
+            calls.clear()
+            coincidence_check(full, sub, frame, probes=probes, seed=3)
+            assert len(calls) <= 1
+
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu", "lfu, other frame"])
+    def test_factored_complement_probes_match_dense_values(self, kind):
+        """A lift's unit complement probes go through ``(Q, Hhat)`` (and
+        ``href`` for least change); they give the dense model's values,
+        also in a frame the lift was not built in."""
+        rng = np.random.default_rng(402)
+        n, d = 40, 3
+        full_set, frame = planted_instance(rng, n=n, d=d, m=6)
+        hatted = hat_sampleset(full_set, frame)
+        if kind == "mn":
+            lifted = lift_mn(fit_mn(hatted), frame)
+        elif kind == "mfn":
+            lifted = lift_mfn(fit_mfn(hatted), frame)
+        else:
+            href = linalg.sym_part(rng.standard_normal((n, n)))
+            sub = fit_lfu(hatted, linalg.sym_part(frame.Q.T @ href @ frame.Q))
+            lifted = lift_lfu(sub, frame, href)
+        assert lifted.hessian_factors is not None
+        if kind.endswith("other frame"):
+            basis, _ = linalg.orthonormal_columns(
+                rng.standard_normal((n, d + 1))
+            )
+            frame = SubspaceFrame(frame.x0 + rng.standard_normal(n), basis)
+        sub = restrict(lifted, frame)
+        report = coincidence_check(lifted, sub, frame, probes=2)
+        base = sub.model(np.zeros(frame.d))
+        want = [abs(lifted.model(frame.x0 + c) - base)
+                for c in frame.complement.T]
+        assert len(report.complement_probe_gaps) == n - frame.d
+        np.testing.assert_allclose(
+            report.complement_probe_gaps, want, rtol=0,
+            atol=1e-13 * max(1.0, abs(base)),
+        )
+        dense = coincidence_check(lifted.model, sub, frame, probes=2)
+        np.testing.assert_allclose(
+            report.complement_probe_gaps, dense.complement_probe_gaps,
+            rtol=0, atol=1e-13 * max(1.0, abs(base)),
+        )
+
+
+class TestNonFiniteProbes:
+    def test_overflowing_values_raise(self):
+        """Probe values of ``c = 1e308`` models overflow; their gaps
+        would be NaN, which a ``max`` fold reads as zero."""
+        frame = SubspaceFrame(np.zeros(3), np.eye(3)[:, :2])
+        full = QuadraticModel(np.zeros(3), 1e308, np.full(3, 1e308),
+                              np.eye(3))
+        sub = QuadraticModel(np.zeros(2), 1e308, np.full(2, 1e308),
+                             np.eye(2))
+        with pytest.raises(NonFiniteError):
+            coincidence_check(full, sub, frame, probes=8)
+
+
+class TestAnchors:
+    """``restrict`` re-anchors at the frame's ``x0`` and a lift anchors at
+    ``x0 + Q xhat0``, so the converted model agrees at frame points."""
+
+    def _frame(self):
+        rng = np.random.default_rng(403)
+        basis, _ = linalg.orthonormal_columns(rng.standard_normal((6, 2)))
+        return rng, SubspaceFrame(rng.standard_normal(6), basis)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_restrict_off_anchor_model(self, symmetric):
+        rng, frame = self._frame()
+        hess = rng.standard_normal((6, 6))
+        if symmetric:
+            hess = linalg.sym_part(hess)
+        x1 = frame.x0 + frame.Q @ np.array([0.7, -0.3])
+        model = QuadraticModel(x1, 1.5, rng.standard_normal(6), hess)
+        result = ModelResult(model, GradientFamily(model.g, np.zeros((6, 0))),
+                             "mn")
+        for back in (restrict(model, frame), restrict(result, frame).model):
+            for _ in range(5):
+                xhat = rng.standard_normal(2)
+                want = model(frame.x0 + frame.Q @ xhat)
+                assert back(xhat) == pytest.approx(want, rel=1e-13, abs=1e-13)
+        restricted = restrict(result, frame)
+        np.testing.assert_array_equal(
+            restricted.gradients.canonical, restricted.model.g
+        )
+
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu"])
+    def test_lift_off_anchor_model(self, kind):
+        rng, frame = self._frame()
+        xhat0 = np.array([0.4, 0.1])
+        ghat = rng.standard_normal(2)
+        hhat = linalg.sym_part(rng.standard_normal((2, 2)))
+        model = QuadraticModel(xhat0, 0.8, ghat, hhat)
+        href = linalg.sym_part(rng.standard_normal((6, 6)))
+        family = (GradientFamily(ghat, np.zeros((2, 0))) if kind == "mn"
+                  else GradientFamily(ghat, np.zeros((2, 0)),
+                                      np.eye(2)))
+        sub = ModelResult(
+            model, family, kind,
+            reference_hessian=(linalg.sym_part(frame.Q.T @ href @ frame.Q)
+                               if kind == "lfu" else None),
+        )
+        lift = {"mn": lift_mn, "mfn": lift_mfn,
+                "lfu": lambda s, f: lift_lfu(s, f, href)}[kind]
+        lifted = lift(sub, frame)
+        np.testing.assert_allclose(lifted.model.x0,
+                                   frame.x0 + frame.Q @ xhat0, rtol=1e-15)
+        for _ in range(5):
+            xhat = rng.standard_normal(2)
+            got = lifted.model(frame.x0 + frame.Q @ xhat)
+            assert got == pytest.approx(model(xhat), rel=1e-13, abs=1e-13)
+
+    def test_agreeing_anchors_keep_their_bits(self):
+        rng = np.random.default_rng(404)
+        full_set, frame = planted_instance(rng, n=7, d=2, m=4)
+        sub = fit_mfn(hat_sampleset(full_set, frame))
+        lifted = lift_mfn(sub, frame)
+        assert lifted.model.x0 is frame.x0
+        direct = fit_mfn(full_set)
+        back = restrict(direct, frame)
+        assert back.model.c == direct.model.c
+        np.testing.assert_array_equal(back.model.g,
+                                      frame.Q.T @ direct.model.g)
+        np.testing.assert_array_equal(
+            back.gradients.canonical, frame.Q.T @ direct.gradients.canonical
+        )
+        np.testing.assert_array_equal(
+            back.model.H, frame.Q.T @ direct.model.H @ frame.Q
         )

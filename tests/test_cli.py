@@ -17,7 +17,13 @@ from subquad import cli, io
 from subquad.cli import main
 from subquad.errors import FileFormatError
 from subquad.geometry import SampleSet, SubspaceFrame, hat_sampleset
-from subquad.models import fit_lfu, fit_mfn
+from subquad.models import (
+    GradientFamily,
+    ModelResult,
+    QuadraticModel,
+    fit_lfu,
+    fit_mfn,
+)
 from subquad.simplex import DirectionBundle
 
 
@@ -266,6 +272,26 @@ class TestSubspaceCommands:
         ]) == 0
         lifted = io.load_model(out)
         np.testing.assert_allclose(lifted.model.g, [1, 1, 0], atol=1e-10)
+
+    def test_compare_with_overflowing_values_exits_2(self, tmp_path, capsys):
+        """Finite models whose probe values overflow: the gaps would be
+        NaN, so the compare is a violated precondition."""
+        paths = {}
+        for name, n in (("full", 3), ("sub", 2)):
+            model = QuadraticModel(np.zeros(n), 1e308, np.full(n, 1e308),
+                                   np.eye(n))
+            paths[name] = str(tmp_path / f"{name}.json")
+            io.save_model(paths[name], ModelResult(
+                model, GradientFamily(model.g, np.zeros((n, 0))), "mn"
+            ))
+        frame_path = str(tmp_path / "frame.json")
+        io.save_frame(frame_path, SubspaceFrame(np.zeros(3), np.eye(3)[:, :2]))
+        code = main([
+            "subspace", "compare", "--full", paths["full"],
+            "--sub", paths["sub"], "--frame", frame_path,
+        ])
+        assert code == 2
+        assert "NonFiniteError" in capsys.readouterr().err
 
     def test_lift_lfu_without_href_exits_1(self, frame_file, tmp_path):
         square = unit_square_set()

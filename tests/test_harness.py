@@ -2,13 +2,15 @@
 suite plumbing and the negative controls."""
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from subquad import harness, linalg
 from subquad.errors import SpecInfeasibleError, UnknownTheoremError
-from subquad.geometry import detect_subspace, hat_function
+from subquad.geometry import SubspaceFrame, detect_subspace, hat_function
+from subquad.models import GradientFamily
 from subquad.harness import (
     GENERATION_RANK_FLOOR,
     STENCIL_CONDITION_MAX,
@@ -286,3 +288,91 @@ class TestNegativeControls:
         expected += [("mn-absence", trial) for trial in range(fifth)]
         assert [(r.suite, r.trial) for r in result.records] == expected
         assert result.trials == len(expected)
+
+
+class TestWorstGap:
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_is_the_worst_wherever_it_sits(self, at):
+        gaps = [("g", 1e-13), ("H", 2e-13), ("on", 3e-13)]
+        gaps[at] = (gaps[at][0], float("nan"))
+        worst, detail = harness._worst(*gaps)
+        assert np.isnan(worst)
+        assert "nan" in detail
+
+    def test_finite_gaps_keep_the_max(self):
+        assert harness._worst(("g", 1e-13), (None, 5e-12), ("on", 0.0)) == (
+            5e-12, "g=1.00e-13 on=0.00e+00"
+        )
+
+
+class _CountingRng:
+    """A generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def _pointwise_membership_gap(full, sub, frame, rng, samples=20):
+    """The membership gap one sample at a time: coefficients, subspace
+    coefficients and shift drawn in that order per sample."""
+    basis, complement = frame.Q, frame.complement
+    amb_full = full.gradients.ambiguity_basis
+    amb_sub = sub.gradients.ambiguity_basis
+    scale = max(1.0, float(np.linalg.norm(sub.gradients.canonical)))
+    worst = 0.0
+    for _ in range(samples):
+        coeffs = scale * rng.standard_normal(amb_full.shape[1])
+        member = full.gradients.canonical + amb_full @ coeffs
+        resid = basis.T @ member - sub.gradients.canonical
+        resid = resid - amb_sub @ (amb_sub.T @ resid)
+        worst = max(worst, float(np.linalg.norm(resid)) / scale)
+        chat = scale * rng.standard_normal(amb_sub.shape[1])
+        shift = complement @ (scale * rng.standard_normal(complement.shape[1]))
+        lifted = basis @ (sub.gradients.canonical + amb_sub @ chat) + shift
+        resid = lifted - full.gradients.canonical
+        resid = resid - amb_full @ (amb_full.T @ resid)
+        worst = max(worst, float(np.linalg.norm(resid)) / scale)
+    return worst
+
+
+class TestMembershipGap:
+    """The family check draws its samples in one call, in the stream order
+    of a per-sample loop, and finds the same residuals."""
+
+    def _families(self):
+        rng = np.random.default_rng(501)
+        n, d = 9, 3
+        basis, _ = linalg.orthonormal_columns(rng.standard_normal((n, d)))
+        frame = SubspaceFrame(rng.standard_normal(n), basis)
+        explicit, _ = linalg.orthonormal_columns(rng.standard_normal((n, 2)))
+        full = SimpleNamespace(gradients=GradientFamily(
+            rng.standard_normal(n), explicit
+        ))
+        sub_basis, _ = linalg.orthonormal_columns(rng.standard_normal((d, 1)))
+        sub = SimpleNamespace(gradients=GradientFamily(
+            rng.standard_normal(d), sub_basis
+        ))
+        return full, sub, frame
+
+    @pytest.mark.parametrize("samples", [1, 20])
+    def test_matches_the_per_sample_loop(self, samples):
+        full, sub, frame = self._families()
+        got = harness._family_membership_gap(
+            full, sub, frame, np.random.default_rng(9), samples
+        )
+        want = _pointwise_membership_gap(
+            full, sub, frame, np.random.default_rng(9), samples
+        )
+        assert want > 0.1
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_one_draw(self):
+        full, sub, frame = self._families()
+        rng = _CountingRng(9)
+        harness._family_membership_gap(full, sub, frame, rng)
+        assert rng.calls == 1

@@ -137,6 +137,34 @@ class TestGoldenBytes:
                 io.dumps(doc)
             assert str(actual.value) == str(expected.value)
 
+    @pytest.mark.parametrize("items", [
+        [0.5], EDGE_REALS, tuple(EDGE_REALS[::-1]),
+        [np.float32(0.1), np.float64(1e300), 3.0, np.float16(-2.5)],
+        [1.0, 2, 0.5], [True, 1.5, False], [True, False], [3, -4],
+        [1.0, None], [], (), [[0.5, 1.0], [], [2.0]],
+    ])
+    def test_lists(self, items):
+        """Lists and tuples of floats take the one-call row; mixed, empty
+        and nested ones keep the per-element path."""
+        doc = {"a": items, "nested": [items, {"b": items}]}
+        assert io.dumps(items) == reference_dumps(items)
+        assert io.dumps(doc) == reference_dumps(doc)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_list_entry_same_error(self, bad):
+        for items in ([1.0, bad, np.nan], (bad,), [np.float32(bad), 0.5]):
+            with pytest.raises(FileFormatError) as expected:
+                reference_dumps({"a": items})
+            with pytest.raises(FileFormatError) as actual:
+                io.dumps({"a": items})
+            assert str(actual.value) == str(expected.value)
+
+    @given(st.lists(WRITER_FLOATS, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_float_lists_property(self, items):
+        assert io.dumps(items) == reference_dumps(items)
+        assert io.dumps(tuple(items)) == reference_dumps(tuple(items))
+
     @given(hnp.arrays(
         np.float64,
         hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
