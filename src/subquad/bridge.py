@@ -22,9 +22,8 @@ models agree pointwise whatever the anchors.
 ``coincidence_check`` probes two models numerically: full-space and
 subspace models must agree at ``x0 + Q xhat`` and, for the minimum-norm
 pairing, also at ``x0 + Q xhat + v`` with ``v`` orthogonal to the subspace.
-Its probes are one draw and one matrix product per probe set; a lift's unit
-complement steps go through its ``hessian_factors``, and a probe value that
-is not finite raises :class:`~subquad.errors.NonFiniteError`.
+Its probes are one draw and one matrix product per probe set, and a probe
+value that is not finite raises :class:`~subquad.errors.NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -133,9 +132,8 @@ def lifted_hessian(basis: np.ndarray, core: np.ndarray,
 
 def _lift_anchor(sub: ModelResult, frame: SubspaceFrame) -> np.ndarray:
     """``x0 + Q xhat0``, the full-space point of the subspace model's
-    anchor ``xhat0`` (``x0`` itself when ``xhat0`` is the origin)."""
-    xhat0 = sub.model.x0
-    return frame.x0 + frame.Q @ xhat0 if xhat0.any() else frame.x0
+    anchor ``xhat0``."""
+    return frame.x0 + frame.Q @ sub.model.x0
 
 
 def lift_mn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
@@ -270,10 +268,10 @@ def hat_directions(directions, frame: SubspaceFrame,
 
 
 def _restrict_family(family: GradientFamily, frame: SubspaceFrame,
-                     shift=None, drop_tol: float = 1e-12) -> GradientFamily:
+                     shift, drop_tol: float = 1e-12) -> GradientFamily:
     """``Q^T`` of the family, its canonical member moved by ``shift`` (the
-    gradient change to the frame's anchor, ``None`` for none), keeping
-    directions that project above ``drop_tol``.
+    gradient change to the frame's anchor), keeping directions that
+    project above ``drop_tol``.
 
     A unit vector ``c`` of the implicit complement ``col(K)^perp``
     projects to at most ``||Q - K K^T Q||_F`` plus the rounding in
@@ -281,8 +279,7 @@ def _restrict_family(family: GradientFamily, frame: SubspaceFrame,
     has no explicit directions (every fit and lift of a spanning set),
     all of the family would be dropped, so the complement is not built.
     """
-    canonical = family.canonical if shift is None else family.canonical + shift
-    canonical = frame.Q.T @ canonical
+    canonical = frame.Q.T @ (family.canonical + shift)
     kernel = family.complement_of
     if kernel is not None and not family.explicit.shape[1]:
         outside = np.linalg.norm(frame.Q - kernel @ (kernel.T @ frame.Q))
@@ -300,20 +297,16 @@ def _restrict_family(family: GradientFamily, frame: SubspaceFrame,
 def _restrict_model(model: QuadraticModel, frame: SubspaceFrame):
     """``(restricted model, shift)``: the model re-anchored at the frame's
     ``x0`` and projected, and ``shift = sym(H) (frame.x0 - x0)``, the
-    change of gradient between the anchors (``None`` when they agree, so
-    the constant and gradient keep their bits)."""
+    change of gradient between the anchors (zero when they agree)."""
     if model.n != frame.n:
         raise DimensionMismatchError(
             f"model dimension {model.n} does not match frame "
             f"dimension {frame.n}"
         )
     step = frame.x0 - model.x0
-    const, grad, shift = model.c, model.g, None
-    if step.any():
-        shift = 0.5 * (model.H @ step + step @ model.H)
-        const, grad = model(frame.x0), grad + shift
+    shift = 0.5 * (model.H @ step + step @ model.H)
     restricted = QuadraticModel(
-        np.zeros(frame.d), const, frame.Q.T @ grad,
+        np.zeros(frame.d), model(frame.x0), frame.Q.T @ (model.g + shift),
         frame.Q.T @ model.H @ frame.Q,
     )
     return restricted, shift
@@ -368,30 +361,6 @@ def _row_values(model: QuadraticModel, points: np.ndarray) -> np.ndarray:
     return model.c + steps @ model.g + 0.5 * curvature
 
 
-def _column_curvatures(full, steps: np.ndarray) -> np.ndarray:
-    """``s^T H s`` for each column ``s`` of ``steps``.
-
-    A lift (a :class:`ModelResult` with ``hessian_factors = (B, Hhat)``)
-    gives it as ``(B^T s)^T Hhat (B^T s)``, plus ``s^T Href s -
-    (B^T s)^T (B^T Href B) (B^T s)`` for least change, in place of the
-    ``n x n`` product ``H @ steps``.
-    """
-    factors = getattr(full, "hessian_factors", None)
-    if factors is None:
-        return np.sum((_unwrap_model(full).H @ steps) * steps, axis=0)
-    basis, core = factors
-    hatted = basis.T @ steps
-    curvature = np.sum((core @ hatted) * hatted, axis=0)
-    if full.kind == "lfu":
-        href = full.reference_hessian
-        restricted = basis.T @ href @ basis
-        curvature = curvature + (
-            np.sum((href @ steps) * steps, axis=0)
-            - np.sum((restricted @ hatted) * hatted, axis=0)
-        )
-    return curvature
-
-
 def coincidence_check(full, sub, frame: SubspaceFrame,
                       probes: int = 16, seed: int = 0) -> ConversionReport:
     """Measure where a full-space and a subspace model (dis)agree.
@@ -406,10 +375,9 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
 
     Every probe comes from one ``(probes, d + n - d)`` draw, the stream
     of a per-probe ``d``-then-``(n - d)`` draw. The subspace, on-subspace
-    and off-subspace values each take one matrix product, each relative
-    to its own model's ``x0``; the unit complement steps of a lift go
-    through its factors (see ``_column_curvatures``). A probe value that
-    is not finite raises :class:`NonFiniteError`.
+    and off-subspace values and the unit complement steps each take one
+    matrix product, each relative to its own model's ``x0``. A probe
+    value that is not finite raises :class:`NonFiniteError`.
     """
     full_model = _unwrap_model(full)
     sub_model = _unwrap_model(sub)
@@ -444,8 +412,8 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
         off_values = _row_values(
             full_model, on_subspace + coeffs @ complement.T
         )
-        comp_values = full_model.c + full_model.g @ steps + 0.5 * (
-            _column_curvatures(full, steps)
+        comp_values = full_model.c + full_model.g @ steps + 0.5 * np.sum(
+            (full_model.H @ steps) * steps, axis=0
         )
         values = (sub_values, on_values, off_values, comp_values)
         if not all(np.isfinite(part).all() for part in values):

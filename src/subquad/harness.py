@@ -301,7 +301,7 @@ def _run_rows(theorem, rows, seed, trials, n_range, d_range, tol, probes):
     return SuiteResult(
         theorem=theorem, trials=len(records),
         failures=sum(1 for rec in records if not rec.passed),
-        max_gap=float(max((rec.gap for rec in records), default=0.0)),
+        max_gap=float(np.max([rec.gap for rec in records], initial=0.0)),
         tol=float(tol), seed=int(seed), records=records,
     )
 
@@ -315,19 +315,11 @@ def _judged(suite, run_trial):
     return judge
 
 
-def _max_gap(gaps):
-    """The largest of ``gaps``, or a NaN among them wherever it sits
-    (``max`` alone keeps a NaN only in first place)."""
-    gaps = list(gaps)
-    nan = [gap for gap in gaps if gap != gap]
-    return nan[0] if nan else max(gaps)
-
-
 def _worst(*gaps):
     """``(worst, detail)`` of ordered ``(name, gap)`` pairs; a pair named
     ``None`` counts toward the worst but is not shown. A NaN gap is the
     worst."""
-    worst = _max_gap(gap for _, gap in gaps)
+    worst = float(np.max([gap for _, gap in gaps]))
     detail = " ".join(
         f"{name}={gap:.2e}" for name, gap in gaps if name is not None
     )
@@ -393,7 +385,9 @@ def _trial_mn(spec, trial, probes, seed_of, determined=False):
     g_scale = np.linalg.norm(sub.gradients.canonical)
     h_scale = np.linalg.norm(sub.model.H)
     g_gap, h_gap = _fit_gaps(full, lifted, g_scale, h_scale)
-    route_gap = max(_fit_gaps(fit_mn(sample_set), full, g_scale, h_scale))
+    route_gap = np.max(
+        _fit_gaps(fit_mn(sample_set), full, g_scale, h_scale)
+    )
     on_gap, off_gap = _value_gaps(
         full.model, sub.model, frame, probes, seed_of("probes")
     )
@@ -417,7 +411,9 @@ def _trial_mfn(spec, trial, probes, seed_of):
     g_scale = np.linalg.norm(sub.gradients.canonical)
     h_scale = np.linalg.norm(sub.model.H)
     g_gap, h_gap = _fit_gaps(full, lifted, g_scale, h_scale)
-    route_gap = max(_fit_gaps(fit_mfn(sample_set), full, g_scale, h_scale))
+    route_gap = np.max(
+        _fit_gaps(fit_mfn(sample_set), full, g_scale, h_scale)
+    )
     member_rng = np.random.default_rng(seed_of("members"))
     member_gap = _family_membership_gap(full, sub, frame, member_rng)
     on_gap, off_gap = _value_gaps(
@@ -459,7 +455,7 @@ def _fixed_lfu_gap(probes, probe_seed):
     gaps.append(report.subspace_value_gap)
     # one unit step off the plane must expose exactly the 1/2 mismatch
     gaps.append(abs(report.complement_probe_gaps[0] - 0.5))
-    return max(gaps), "fixed worked instance"
+    return float(np.max(gaps)), "fixed worked instance"
 
 
 def _reference_pair(rng, frame, supported: bool):
@@ -494,7 +490,7 @@ def _trial_lfu(spec, trial, probes, seed_of):
         np.linalg.norm(frame.Q.T @ full.model.H @ frame.Q - sub.model.H),
         np.linalg.norm(sub.model.H),
     )
-    route_gap = max(
+    route_gap = np.max(
         _fit_gaps(fit_lfu(sample_set, href), full, g_scale, h_scale)
     )
     member_rng = np.random.default_rng(seed_of("members"))
@@ -636,7 +632,7 @@ def _trial_qgsd_both(spec, trial, probes, seed_of):
     """Both variants on the same dimensions."""
     gap_s, detail_s = _trial_qgsd(spec, trial, probes, seed_of, "simple")
     gap_r, detail_r = _trial_qgsd(spec, trial, probes, seed_of, "refined")
-    return (_max_gap((gap_s, gap_r)),
+    return (float(np.max((gap_s, gap_r))),
             f"simple[{detail_s}] refined[{detail_r}]")
 
 

@@ -578,10 +578,10 @@ class TestArrayProbes:
             assert len(calls) <= 1
 
     @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu", "lfu, other frame"])
-    def test_factored_complement_probes_match_dense_values(self, kind):
-        """A lift's unit complement probes go through ``(Q, Hhat)`` (and
-        ``href`` for least change); they give the dense model's values,
-        also in a frame the lift was not built in."""
+    def test_complement_probes_match_pointwise_values(self, kind):
+        """A lift's unit complement probes, valued in one product, give
+        the model's scalar values, also in a frame the lift was not built
+        in."""
         rng = np.random.default_rng(402)
         n, d = 40, 3
         full_set, frame = planted_instance(rng, n=n, d=d, m=6)
@@ -594,7 +594,6 @@ class TestArrayProbes:
             href = linalg.sym_part(rng.standard_normal((n, n)))
             sub = fit_lfu(hatted, linalg.sym_part(frame.Q.T @ href @ frame.Q))
             lifted = lift_lfu(sub, frame, href)
-        assert lifted.hessian_factors is not None
         if kind.endswith("other frame"):
             basis, _ = linalg.orthonormal_columns(
                 rng.standard_normal((n, d + 1))
@@ -609,11 +608,6 @@ class TestArrayProbes:
         np.testing.assert_allclose(
             report.complement_probe_gaps, want, rtol=0,
             atol=1e-13 * max(1.0, abs(base)),
-        )
-        dense = coincidence_check(lifted.model, sub, frame, probes=2)
-        np.testing.assert_allclose(
-            report.complement_probe_gaps, dense.complement_probe_gaps,
-            rtol=0, atol=1e-13 * max(1.0, abs(base)),
         )
 
 
@@ -690,7 +684,7 @@ class TestAnchors:
         full_set, frame = planted_instance(rng, n=7, d=2, m=4)
         sub = fit_mfn(hat_sampleset(full_set, frame))
         lifted = lift_mfn(sub, frame)
-        assert lifted.model.x0 is frame.x0
+        np.testing.assert_array_equal(lifted.model.x0, frame.x0)
         direct = fit_mfn(full_set)
         back = restrict(direct, frame)
         assert back.model.c == direct.model.c

@@ -304,6 +304,22 @@ class TestWorstGap:
             5e-12, "g=1.00e-13 on=0.00e+00"
         )
 
+    def test_nan_route_gap_in_second_place_fails_the_trial(self, monkeypatch):
+        fit_gaps = harness._fit_gaps
+        calls = []
+
+        def route_h_is_nan(a, b, g_scale, h_scale):
+            calls.append(None)
+            g_gap, h_gap = fit_gaps(a, b, g_scale, h_scale)
+            return (g_gap, float("nan")) if len(calls) == 2 else (g_gap, h_gap)
+
+        monkeypatch.setattr(harness, "_fit_gaps", route_h_is_nan)
+        spec = InstanceSpec(n=7, d=3, m=5, function_class="quadratic", seed=11)
+        gap, detail = harness._trial_mn(spec, 0, 4, lambda part: 5)
+        assert len(calls) == 2
+        assert np.isnan(gap)
+        assert "route=nan" in detail
+
 
 class _CountingRng:
     """A generator that counts its ``standard_normal`` calls."""
