@@ -40,7 +40,7 @@ from .errors import (
     ReferenceMismatchError,
     VariantPreconditionError,
 )
-from .geometry import SubspaceFrame
+from .geometry import SubspaceFrame, _span_coordinates
 from .models import GradientFamily, ModelResult, QuadraticModel
 
 #: Relative Frobenius size above which a least-change correction "counts".
@@ -253,18 +253,13 @@ def hat_directions(directions, frame: SubspaceFrame,
             f"directions live in dimension {mat.shape[0]}, "
             f"frame in dimension {frame.n}"
         )
-    hatted = frame.Q.T @ mat
-    residual = mat - frame.Q @ hatted
-    norms = np.linalg.norm(mat, axis=0)
-    worst = float(np.max(
-        np.linalg.norm(residual, axis=0) / np.maximum(norms, 1e-300)
-    ))
-    if worst > tol:
+    hatted, worst = _span_coordinates(mat.T, linalg.row_norms(mat.T), frame.Q)
+    if not worst <= tol:
         raise NotInSubspaceError(
             f"directions leave the frame span (relative residual "
             f"{worst:.3e} > {tol:.1e})"
         )
-    return hatted
+    return hatted.T
 
 
 def _restrict_family(family: GradientFamily, frame: SubspaceFrame,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,10 +27,6 @@ from .errors import (
 
 #: Relative distance below which two displacements count as duplicates.
 DEDUP_RTOL = 1e-12
-
-#: Smallest ratio of two step sizes that ``_may_have_duplicates`` screens:
-#: the squares of its scaled steps stay far above the underflow threshold.
-SCREEN_RANGE = 1e-140
 
 #: Relative residual allowed when re-expressing displacements in a frame.
 SUBSPACE_RTOL = 1e-10
@@ -93,12 +89,13 @@ class SampleSet:
     ``values[0]`` is the function value at ``x0`` and ``values[1 + i]`` the
     value at ``x0 + displacements[i]``. Duplicate displacements (within
     ``DEDUP_RTOL`` relative distance) are merged when their values agree and
-    rejected otherwise.
+    rejected otherwise. ``lengths`` holds their :func:`linalg.row_norms`.
     """
 
     x0: np.ndarray
     displacements: np.ndarray
     values: np.ndarray
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x0 = linalg.as_vector(self.x0, "x0")
@@ -116,15 +113,16 @@ class SampleSet:
                 f"expected {disp.shape[0] + 1} values "
                 f"(x0 plus one per displacement), got {values.shape[0]}"
             )
-        norms = _row_norms(disp)
+        norms = linalg.row_norms(disp)
         if np.any(norms == 0.0):
             raise DuplicatePointError(
                 "zero displacement duplicates the base point"
             )
-        disp, values = _merge_duplicates(disp, values, norms)
+        disp, values, norms = _merge_duplicates(disp, values, norms)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "displacements", disp)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "lengths", norms)
 
     @classmethod
     def from_oracle(cls, x0, displacements, fn) -> "SampleSet":
@@ -154,71 +152,60 @@ class SampleSet:
         return np.vstack([self.x0, self.x0 + self.displacements])
 
 
-def _row_norms(rows) -> np.ndarray:
-    """Euclidean row norms, each taken on the row divided by its largest
-    entry: a plain norm squares the entries, so steps of size 1e-170
-    underflow to norm 0 and steps of size 1e160 overflow to inf."""
-    peak = np.max(np.abs(rows), axis=1)
-    scaled = rows / np.where(peak > 0.0, peak, 1.0)[:, None]
-    return peak * np.linalg.norm(scaled, axis=1)
-
-
-def _may_have_duplicates(disp, norms) -> bool:
-    """False only when no two displacements can be duplicates.
-
-    Screens every pair at once through the Gram matrix of the steps
-    divided by their largest entry ``p``, as :func:`_row_norms` divides
-    each step by its own, so no square overflows. Its squared distances,
-    like the per-pair distances :func:`_merge_duplicates` computes, are
-    within about ``2 (n + 4) eps`` times ``|d_i|^2 + |d_j|^2 + cutoff^2``
-    (in units of ``p^2``) of the true ones; a pair is screened out only
-    when it clears the squared cutoff by twice that, and a non-finite
-    distance always counts as close. A step smaller than ``p`` by more
-    than ``SCREEN_RANGE`` could underflow in those squares, so such a set
-    is not screened.
-    """
-    peak = np.max(np.abs(disp), axis=1)
-    top = np.max(peak)
-    if np.min(peak) < SCREEN_RANGE * top:
-        return True
-    scaled = disp / top
-    gram = scaled @ scaled.T
-    with np.errstate(over="ignore"):
-        sq = np.diag(gram)
-        pair_sq = sq[:, None] + sq[None, :]
-        dist_sq = pair_sq - 2.0 * gram
-        reach = DEDUP_RTOL * np.maximum(np.maximum.outer(norms, norms), 1.0)
-        reach = reach / top
-        reach_sq = reach * reach
-        slack = 4.0 * (disp.shape[1] + 4) * linalg.EPS * (pair_sq + reach_sq)
-        close = ~(dist_sq > reach_sq + slack)
-    np.fill_diagonal(close, False)
-    return bool(close.any())
+@lru_cache(maxsize=32)
+def _projection_axis(n: int) -> np.ndarray:
+    """Fixed unit vector in R^n that :func:`_merge_duplicates` projects
+    steps on: seeded by ``n``, cached per ``n`` and read-only."""
+    axis = np.random.default_rng(n).standard_normal(n)
+    axis /= np.linalg.norm(axis)
+    axis.flags.writeable = False
+    return axis
 
 
 def _merge_duplicates(disp, values, norms):
-    """Drop duplicate displacements; conflicting values are an error."""
-    if not _may_have_duplicates(disp, norms):
-        return disp, values
-    keep = []
-    for i in range(disp.shape[0]):
-        gaps = _row_norms(disp[i] - disp[keep])
-        reach = DEDUP_RTOL * np.maximum(norms[keep], max(norms[i], 1.0))
-        close = np.flatnonzero(gaps <= reach)
+    """Drop duplicate displacements; conflicting values are an error.
+
+    In row order, a step within ``c = DEDUP_RTOL * max(|d_i|, |d_j|, 1)``
+    of a kept step is dropped for the first such one, whose value it must
+    match. Only steps whose projections on :func:`_projection_axis` lie
+    within the longer step's window ``c + 4 (n + 4) eps (c + |d|)`` are
+    measured: a duplicate pair projects within ``c``, up to rounding of
+    ``(2 n + 8) eps c`` and ``(n + 1) eps |d|`` per step, which the window
+    covers twice. Only a step near the largest float can overflow its
+    projection; its window is infinite.
+    """
+    m, n = disp.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = disp @ _projection_axis(n)
+        cutoff = DEDUP_RTOL * np.maximum(norms, 1.0)
+        window = cutoff + 4.0 * (n + 4) * linalg.EPS * (cutoff + norms)
+        wild = ~np.isfinite(proj)
+        proj[wild], window[wild] = 0.0, np.inf
+        order = np.argsort(proj)
+        lo = np.searchsorted(proj[order], (proj - window)[order])
+        hi = np.searchsorted(proj[order], (proj + window)[order], "right")
+    if np.all(hi - lo == 1):
+        return disp, values, norms
+    reached = np.cumsum(np.bincount(lo, minlength=m + 1) - np.bincount(hi))
+    near = np.sort(order[(hi - lo > 1) | (reached[:m] > 1)])
+    keep = np.ones(m, dtype=bool)
+    for pos, i in enumerate(near):
+        prior = near[:pos][keep[near[:pos]]]
+        prior = prior[np.abs(proj[prior] - proj[i])
+                      <= np.maximum(window[prior], window[i])]
+        gaps = linalg.row_norms(disp[i] - disp[prior])
+        close = np.flatnonzero(gaps <= np.maximum(cutoff[prior], cutoff[i]))
         if close.size == 0:
-            keep.append(i)
             continue
-        duplicate_of = keep[close[0]]
+        duplicate_of = prior[close[0]]
         vi, vj = values[1 + i], values[1 + duplicate_of]
         if abs(vi - vj) > 1e-12 * max(1.0, abs(vi), abs(vj)):
             raise DuplicatePointError(
                 f"displacements {i} and {duplicate_of} coincide but carry "
                 f"conflicting values {vi!r} and {vj!r}"
             )
-    if len(keep) == disp.shape[0]:
-        return disp, values
-    idx = np.asarray(keep, dtype=int)
-    return disp[idx], np.concatenate([values[:1], values[1 + idx]])
+        keep[i] = False
+    return disp[keep], np.append(values[0], values[1:][keep]), norms[keep]
 
 
 @dataclass(frozen=True)
@@ -314,13 +301,14 @@ def hat_function(fn, frame: SubspaceFrame) -> FunctionOracle:
     return FunctionOracle(hatted, name=name, dim=frame.d)
 
 
-def _span_coordinates(displacements: np.ndarray, basis: np.ndarray):
+def _span_coordinates(displacements: np.ndarray, lengths, basis):
     """Coordinates ``D Q`` of the displacements in ``col(Q)``, and the worst
-    distance of a displacement from that span relative to its length."""
+    distance of a displacement from that span relative to its length (zero
+    rows lie in every span; scaled residuals have entries of order 1)."""
     dhat = displacements @ basis
     residual = displacements - dhat @ basis.T
-    norms = np.linalg.norm(displacements, axis=1)
-    return dhat, np.max(np.linalg.norm(residual, axis=1) / norms)
+    residual /= np.where(lengths > 0.0, lengths, 1.0)[:, None]
+    return dhat, np.max(np.linalg.norm(residual, axis=1))
 
 
 def hat_sampleset(sample_set: SampleSet, frame: SubspaceFrame,
@@ -335,8 +323,9 @@ def hat_sampleset(sample_set: SampleSet, frame: SubspaceFrame,
             f"frame dimension {frame.n} does not match sample set "
             f"dimension {sample_set.n}"
         )
-    dhat, worst = _span_coordinates(sample_set.displacements, frame.Q)
-    if worst > tol:
+    dhat, worst = _span_coordinates(sample_set.displacements,
+                                    sample_set.lengths, frame.Q)
+    if not worst <= tol:
         raise NotInSubspaceError(
             f"displacements leave the frame span (relative residual "
             f"{worst:.3e} > {tol:.1e})"
@@ -365,10 +354,10 @@ def _stacked_solve(displacements: np.ndarray, delta: np.ndarray, rank_tol):
     return solution[:n], linalg.smat(solution[n:])
 
 
-def _solve_in_span(kernel, displacements: np.ndarray, delta: np.ndarray,
+def _solve_in_span(kernel, sample_set: SampleSet, delta: np.ndarray,
                    rank_tol, system_shape, dense: bool = False):
-    """Run ``kernel(D, delta, rank_tol) -> (alpha, H)`` in span coordinates
-    and lift the result; returns ``(Q, alpha, H)``.
+    """Run ``kernel(D, delta, rank_tol) -> (alpha, H)`` on the set's steps
+    in span coordinates and lift the result; returns ``(Q, alpha, H)``.
 
     ``Q`` is the orthonormal basis of the span of the displacements. With
     ``D = D_hat Q^T`` the dense system is the one in the ``r`` span
@@ -380,11 +369,13 @@ def _solve_in_span(kernel, displacements: np.ndarray, delta: np.ndarray,
     displacement leaves ``col(Q)`` by more than ``SUBSPACE_RTOL`` (a large
     ``rank_tol`` dropped a direction the data uses).
     """
+    displacements = sample_set.displacements
     basis = linalg.orthonormal_columns(displacements.T, rank_tol)[0]
     if rank_tol is None:
         rank_tol = linalg.default_rank_tol(*system_shape)
     if not dense and basis.shape[1] < basis.shape[0]:
-        dhat, worst = _span_coordinates(displacements, basis)
+        dhat, worst = _span_coordinates(displacements, sample_set.lengths,
+                                        basis)
         if worst <= SUBSPACE_RTOL:
             alpha, hess = kernel(dhat, delta, rank_tol)
             return basis, basis @ alpha, linalg.sym_part(
@@ -401,10 +392,8 @@ def _min_norm_quadratic(sample_set: SampleSet, rank_tol,
     """``(Q, alpha, H)`` of the quadratic minimizing
     ``||alpha||^2 + ||H||_F^2`` subject to the interpolation constraints."""
     m, n = sample_set.displacements.shape
-    return _solve_in_span(
-        _stacked_solve, sample_set.displacements, sample_set.delta,
-        rank_tol, (m, n + n * (n + 1) // 2), dense,
-    )
+    return _solve_in_span(_stacked_solve, sample_set, sample_set.delta,
+                          rank_tol, (m, n + n * (n + 1) // 2), dense)
 
 
 def _interpolation_residual(sample_set: SampleSet, grad, hess):
@@ -438,18 +427,18 @@ def interpolation_feasible(sample_set: SampleSet,
     return residual <= feas_tol * scale
 
 
-def poised_for_quadratic(sample_set: SampleSet,
-                         rank_tol: float | None = None) -> bool:
-    """True iff the set determines a *unique* interpolating quadratic.
-
-    Requires the cardinality ``m + 1 == (n + 1)(n + 2) / 2`` and a
-    nonsingular interpolation system at the rank tolerance.
-    """
+def _poised_factors(sample_set: SampleSet, rank_tol):
+    """SVD ``(U, s, Vt)`` of a poised set's square system, else ``None``."""
     n = sample_set.n
     if sample_set.m + 1 != (n + 1) * (n + 2) // 2:
-        return False
+        return None
     matrix = quadratic_constraint_matrix(sample_set.displacements)
-    if rank_tol is None:
-        rank_tol = linalg.default_rank_tol(*matrix.shape)
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    return linalg.numerical_rank(sigma, rank_tol) == sigma.size
+    left, sigma, vt, rank = linalg._truncated_svd(matrix, rank_tol)
+    return (left, sigma, vt) if rank == matrix.shape[0] else None
+
+
+def poised_for_quadratic(sample_set: SampleSet,
+                         rank_tol: float | None = None) -> bool:
+    """True iff the set determines a *unique* interpolating quadratic: it
+    has ``(n + 1)(n + 2) / 2`` points and a nonsingular system."""
+    return _poised_factors(sample_set, rank_tol) is not None

@@ -73,6 +73,15 @@ def sym_part(mat) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
+def row_norms(rows) -> np.ndarray:
+    """Euclidean row lengths, each taken on the row divided by its largest
+    entry: a plain norm squares the entries, so rows of size 1e-170
+    underflow to length 0 and rows of size 1e160 overflow to inf."""
+    peak = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    scaled = rows / np.where(peak > 0.0, peak, 1.0)[:, None]
+    return peak * np.sqrt(np.add.reduce(np.square(scaled, out=scaled), axis=1))
+
+
 def _fix_column_signs(basis: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry of each is positive."""
     basis = np.array(basis, copy=True)

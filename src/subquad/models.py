@@ -28,7 +28,7 @@ the dense ``n``-dimensional system. The dense solve remains the fallback,
 taken when ``r == n`` or when the displacements leave ``col(Q)`` by more
 than ``SUBSPACE_RTOL`` (possible only with a large ``rank_tol``), and is the
 reference the verification harness compares the span route with.
-``fit_dqi`` always solves the dense system.
+``fit_dqi`` solves its square system from the SVD that finds it poised.
 
 Feasibility is judged on the model a fit returns: ``fit_mn``, ``fit_mfn``
 and ``fit_lfu`` raise :class:`InfeasibleError` exactly when that model misses
@@ -54,8 +54,8 @@ from .geometry import (
     SampleSet,
     _interpolation_residual,
     _min_norm_quadratic,
+    _poised_factors,
     _solve_in_span,
-    poised_for_quadratic,
 )
 
 
@@ -232,10 +232,8 @@ def _require_interpolates(sample_set: SampleSet, model, feas_tol):
         )
 
 
-def _stacked_model(sample_set: SampleSet, rank_tol, kind: str,
-                   dense: bool = False) -> ModelResult:
-    """Model from the min-norm solution over ``(alpha, svec(H))``."""
-    _, alpha, hess = _min_norm_quadratic(sample_set, rank_tol, dense)
+def _stacked_model(sample_set: SampleSet, alpha, hess, kind) -> ModelResult:
+    """Model, with the single-point gradient family, of ``(alpha, H)``."""
     model = QuadraticModel(sample_set.x0, sample_set.values[0], alpha, hess)
     family = GradientFamily(alpha, np.zeros((sample_set.n, 0)))
     return ModelResult(model, family, kind)
@@ -251,7 +249,8 @@ def fit_mn(sample_set: SampleSet,
     is a single point. Values that no quadratic meets leave the returned
     model with a residual, which is what the feasibility check measures.
     """
-    result = _stacked_model(sample_set, rank_tol, "mn")
+    _, alpha, hess = _min_norm_quadratic(sample_set, rank_tol)
+    result = _stacked_model(sample_set, alpha, hess, "mn")
     _require_interpolates(sample_set, result.model, feas_tol)
     return result
 
@@ -260,15 +259,19 @@ def fit_dqi(sample_set: SampleSet,
             rank_tol: float | None = None) -> ModelResult:
     """Determined quadratic interpolation on a poised sample set.
 
-    The interpolation system is square and nonsingular, so the unique
-    solution coincides with the minimum-norm one.
+    The interpolation system is square and nonsingular; it is solved from
+    the one factorization that decides so.
     """
-    if not poised_for_quadratic(sample_set, rank_tol):
+    factors = _poised_factors(sample_set, rank_tol)
+    if factors is None:
         raise NotPoisedError(
             f"sample set with m={sample_set.m}, n={sample_set.n} does not "
             "determine a unique quadratic"
         )
-    return _stacked_model(sample_set, rank_tol, "dqi", dense=True)
+    left, sigma, vt = factors
+    alpha, svec_h = np.split(vt.T @ ((left.T @ sample_set.delta) / sigma),
+                             [sample_set.n])
+    return _stacked_model(sample_set, alpha, linalg.smat(svec_h), "dqi")
 
 
 def _solve_min_frobenius(displacements: np.ndarray, delta: np.ndarray,
@@ -313,7 +316,8 @@ def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol,
         delta = (values[1:] - shift) - values[0]
     m, n = disp.shape
     span_basis, alpha, hess = _solve_in_span(
-        _solve_min_frobenius, disp, delta, rank_tol, (m + n, m + n), dense
+        _solve_min_frobenius, sample_set, delta, rank_tol, (m + n, m + n),
+        dense,
     )
     if href is not None:
         hess = href + hess  # a sum of exactly symmetric matrices
@@ -370,7 +374,8 @@ def _reference_fit(kind: str, sample_set: SampleSet, href=None,
     checks the span route against it.
     """
     if kind == "mn":
-        result = _stacked_model(sample_set, rank_tol, "mn", dense=True)
+        _, alpha, hess = _min_norm_quadratic(sample_set, rank_tol, dense=True)
+        result = _stacked_model(sample_set, alpha, hess, "mn")
         _require_interpolates(sample_set, result.model, feas_tol)
         return result
     href = None if kind == "mfn" else linalg.sym_part(href)

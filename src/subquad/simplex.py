@@ -42,7 +42,7 @@ def _check_directions(mat, name):
     out = linalg.as_matrix(mat, name)
     if out.shape[1] == 0:
         raise EmptySetError(f"{name} needs at least one column")
-    if np.any(np.linalg.norm(out, axis=0) == 0.0):
+    if not out.any(axis=0).all():
         raise DuplicatePointError(f"{name} contains a zero column")
     return out
 

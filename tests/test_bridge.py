@@ -331,6 +331,15 @@ class TestSimplexBridge:
         with pytest.raises(NotInSubspaceError):
             hat_directions(s, frame)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_hat_directions_rejects_huge_outside(self, scale):
+        """The squared lengths of these columns overflow; the second is
+        45 degrees off the span."""
+        frame = SubspaceFrame(np.zeros(3), np.eye(3)[:, :1])
+        s = scale * np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotInSubspaceError):
+            hat_directions(s, frame)
+
     def test_qgsd_restrict_matches_sub_fit(self, rng):
         n, d, p = 4, 2, 2
         q, _ = linalg.orthonormal_columns(rng.standard_normal((n, d)))

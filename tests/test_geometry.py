@@ -1,10 +1,13 @@
 """Sample sets, function oracles, subspace frames and feasibility."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import subspace_set
 
+from subquad import geometry, linalg
 from subquad.errors import (
     DimensionMismatchError,
     DuplicatePointError,
@@ -15,8 +18,6 @@ from subquad.errors import (
 from subquad.geometry import (
     DEDUP_RTOL,
     FunctionOracle,
-    _may_have_duplicates,
-    _row_norms,
     SampleSet,
     SubspaceFrame,
     detect_subspace,
@@ -202,6 +203,17 @@ class TestHatFunction:
         with pytest.raises(NotInSubspaceError):
             hat_sampleset(square, thin)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+    def test_hat_sampleset_rejects_huge_outside_steps(self, scale, values):
+        """The squared lengths of these steps overflow; the second step
+        is 45 degrees off the span whatever its values."""
+        disp = scale * np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        ss = SampleSet(np.zeros(3), disp, np.array(values))
+        thin = SubspaceFrame(np.zeros(3), np.array([[1.0], [0.0], [0.0]]))
+        with pytest.raises(NotInSubspaceError):
+            hat_sampleset(ss, thin)
+
 
 class TestFeasibility:
     def test_constraint_matrix_shape_and_values(self):
@@ -286,22 +298,30 @@ def scaled_norm(v):
 
 
 def merge_oracle(disp, values):
-    """Pairwise duplicate merge, one pair at a time; oracle only."""
+    """Pairwise duplicate merge, one pair at a time; oracle only. A
+    duplicate whose values conflict raises naming the pair."""
     norms = [scaled_norm(row) for row in disp]
     keep = []
     for i in range(disp.shape[0]):
-        if not any(
-            scaled_norm(disp[i] - disp[j])
+        close = [
+            j for j in keep
+            if scaled_norm(disp[i] - disp[j])
             <= DEDUP_RTOL * max(norms[i], norms[j], 1.0)
-            for j in keep
-        ):
+        ]
+        if not close:
             keep.append(i)
+            continue
+        vi, vj = values[1 + i], values[1 + close[0]]
+        if abs(vi - vj) > 1e-12 * max(1.0, abs(vi), abs(vj)):
+            raise DuplicatePointError(
+                f"displacements {i} and {close[0]} coincide"
+            )
     idx = np.asarray(keep, dtype=int)
     return disp[idx], np.concatenate([values[:1], values[1 + idx]])
 
 
 class TestDuplicateScreen:
-    """Sets the Gram-matrix screen passes through merge exactly as the
+    """Sets the projection screen passes through merge exactly as the
     pairwise loop does, including pairs at the duplicate cutoff."""
 
     @pytest.mark.parametrize(
@@ -320,28 +340,126 @@ class TestDuplicateScreen:
         np.testing.assert_array_equal(merged.displacements, want_disp)
         np.testing.assert_array_equal(merged.values, want_values)
 
+    def test_overflowing_projections_match_pairwise_merge(self):
+        """Steps about as long as the largest float overflow their
+        projections; such a pair is still measured, as the pairwise loop
+        measures it."""
+        huge = 1.7e308 * np.sign(geometry._projection_axis(3))
+        disp = np.array([huge, huge, [1e308, 1e308, 0.0]])
+        values = np.ones(4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            merged = SampleSet(np.zeros(3), disp, values)
+            want_disp, want_values = merge_oracle(disp, values)
+        assert merged.m == 2
+        np.testing.assert_array_equal(merged.displacements, want_disp)
+        np.testing.assert_array_equal(merged.values, want_values)
+
+
+def _count_measured_rows(monkeypatch):
+    """Rows each ``linalg.row_norms`` call measures from now on."""
+    rows = []
+    row_norms = linalg.row_norms
+
+    def counting(mat):
+        rows.append(mat.shape[0])
+        return row_norms(mat)
+
+    monkeypatch.setattr(linalg, "row_norms", counting)
+    return rows
+
 
 class TestDuplicateScreenScale:
-    """The screen measures steps in units of their largest entry, so sets
-    of huge steps are screened as unit-scale ones are."""
+    """Step lengths are taken in units of each step's largest entry, so
+    sets of huge steps are screened as unit-scale ones are, and a step far
+    smaller than the others is still compared exactly."""
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e100, 1e160, 1e300])
-    def test_distinct_steps_skip_the_merge(self, rng, scale):
+    def test_distinct_steps_skip_the_merge(self, monkeypatch, rng, scale):
         disp = scale * rng.standard_normal((200, 5))
-        assert not _may_have_duplicates(disp, _row_norms(disp))
+        rows = _count_measured_rows(monkeypatch)
+        assert SampleSet(np.zeros(5), disp, np.ones(201)).m == 200
+        assert rows == [200]  # the step lengths; no pair is measured
 
     @pytest.mark.parametrize("scale", [1.0, 1e160])
-    def test_a_duplicate_is_still_seen(self, rng, scale):
+    def test_a_duplicate_is_still_seen(self, monkeypatch, rng, scale):
         disp = scale * rng.standard_normal((200, 5))
         disp[150] = disp[20] * (1.0 + 1e-14)
-        assert _may_have_duplicates(disp, _row_norms(disp))
+        rows = _count_measured_rows(monkeypatch)
         assert SampleSet(np.zeros(5), disp, np.ones(201)).m == 199
+        assert sum(rows[1:]) == 1  # only the planted pair is measured
 
     def test_steps_beyond_the_screened_range_are_merged_pairwise(self, rng):
         disp = rng.standard_normal((6, 3))
         disp[3] *= 1e-150
-        assert _may_have_duplicates(disp, _row_norms(disp))
         assert SampleSet(np.zeros(3), disp, np.ones(7)).m == 6
+        disp[5] = 2.0 * disp[3]  # within the absolute cutoff of step 3
+        merged = SampleSet(np.zeros(3), disp, np.ones(7))
+        np.testing.assert_array_equal(merged.displacements, disp[:5])
+
+
+def _merge_case(rng):
+    """A set at a random scale (gaussian, coordinate stencil or one scale
+    per step) with up to three pairs planted at multiples of the cutoff,
+    half of them along the projection axis, and values that agree or
+    conflict."""
+    n = int(rng.choice([1, 2, 3, 5, 10, 30, 300, 2000],
+                       p=[.1, .15, .15, .2, .2, .14, .04, .02]))
+    m = int(rng.integers(2, 12 if n < 300 else 5))
+    kind = rng.integers(3)
+    if kind == 0:
+        disp = 10.0 ** rng.uniform(-300, 305) * rng.standard_normal((m, n))
+    elif kind == 1:
+        disp = np.zeros((m, n))
+        disp[np.arange(m), rng.integers(n, size=m)] = (
+            rng.choice([-0.1, 0.1, 1.0], m) * 10.0 ** rng.uniform(-300, 300)
+        )
+    else:
+        disp = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(
+            -150, 150, size=(m, 1)
+        )
+    for _ in range(rng.integers(4)):
+        a, b = rng.integers(m, size=2)
+        if rng.random() < 0.5:  # along the axis the merge projects on
+            unit = geometry._projection_axis(n)
+        else:
+            unit = rng.standard_normal(n)
+            unit /= np.linalg.norm(unit)
+        gap = rng.choice([0.0, 0.5, 0.999, 1 - 1e-6, 1 + 1e-6, 1.001, 2.0,
+                          1e3])
+        cutoff = DEDUP_RTOL * max(scaled_norm(disp[a]), 1.0)
+        planted = disp[a] + gap * cutoff * unit
+        if planted.any():  # a zero step is rejected before the merge
+            disp[b] = planted
+    values = np.ones(m + 1) if rng.random() < 0.5 else rng.standard_normal(m + 1)
+    return disp, values
+
+
+class TestDuplicateMergeSweep:
+    """10,000 seeded sets: ``SampleSet`` keeps the rows and values the
+    pairwise oracle keeps, and raises on the pair it names. Pairs planted
+    along the projection axis at ``1 +- 1e-6`` times the cutoff, at ``n``
+    up to 2000, need the projection window's rounding term."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_oracle(self, seed):
+        rng = np.random.default_rng([20261019, seed])
+        outcomes = {"distinct": 0, "merged": 0, "conflict": 0}
+        for _ in range(1000):
+            disp, values = _merge_case(rng)
+            x0 = np.zeros(disp.shape[1])
+            try:
+                want_disp, want_values = merge_oracle(disp, values)
+            except DuplicatePointError as err:
+                with pytest.raises(DuplicatePointError,
+                                   match=re.escape(str(err))):
+                    SampleSet(x0, disp, values)
+                outcomes["conflict"] += 1
+                continue
+            merged = SampleSet(x0, disp, values)
+            np.testing.assert_array_equal(merged.displacements, want_disp)
+            np.testing.assert_array_equal(merged.values, want_values)
+            outcomes["merged" if merged.m < len(disp) else "distinct"] += 1
+        assert min(outcomes.values()) > 50, outcomes
 
 
 class TestPoisedness:

@@ -243,6 +243,22 @@ class TestStencilConditioning:
                 assert condition <= STENCIL_CONDITION_MAX
 
 
+class TestKnownMfnFailures:
+    """Two seeds whose mfn draws clear ``GENERATION_RANK_FLOOR`` only
+    narrowly fail one trial each. Strict: once the mfn kernel stops
+    squaring the conditioning, both pass and the marker must go."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "mfn multiplier system uses A = Phi Phi^T / 2, which squares "
+        "kappa(Phi): kappa(KKT) is 8.2e7 (seed 665756389, trial 4, n = 27) "
+        "and 2.5e8 (seed 1592229349, trial 0, n = 4); eps kappa(KKT), "
+        "1.8e-8 and 5.6e-8, is the size of the 1.6e-8 and 1.8e-8 gaps"
+    ))
+    @pytest.mark.parametrize("seed", [665756389, 1592229349])
+    def test_seed_passes(self, seed):
+        assert run_suite("mfn", 8, seed=seed).passed
+
+
 class TestNegativeControls:
     def test_controls_pass_with_margin(self):
         result = negative_controls(seed=0, trials=30)

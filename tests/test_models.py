@@ -135,6 +135,23 @@ class TestDeterminedFit:
         with pytest.raises(NotPoisedError):
             fit_dqi(square)
 
+    def test_one_factorization(self, monkeypatch, rng):
+        """The SVD that finds the square system nonsingular also solves
+        it: one factorization per fit, and none of ``D^T`` for a span."""
+        n = 6
+        disp = random_poised_set(rng, n)
+        ss = SampleSet(np.zeros(n), disp, rng.standard_normal(len(disp) + 1))
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting(mat, *args, **kwargs):
+            shapes.append(mat.shape)
+            return svd(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        fit_dqi(ss)
+        assert shapes == [(27, 27)]
+
 
 class TestJointMinNorm:
     def test_square_worked_values(self, square):

@@ -74,6 +74,13 @@ class TestSimplexGradient:
         with pytest.raises(DuplicatePointError):
             gsg(np.zeros(2), np.array([[1.0, 0.0], [0.0, 0.0]]), lambda x: 0.0)
 
+    def test_tiny_directions_are_not_zero(self):
+        """The squares of these entries underflow, so their column norms
+        are zero; the columns themselves are not."""
+        b = np.array([1.0, -2.0, 0.5])
+        g = gsg(np.zeros(3), 1e-170 * np.eye(3), lambda x: float(b @ x))
+        np.testing.assert_allclose(g, b, rtol=1e-12)
+
     def test_rejects_empty(self):
         with pytest.raises(EmptySetError):
             gsg(np.zeros(2), np.zeros((2, 0)), lambda x: 0.0)
