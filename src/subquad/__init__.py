@@ -57,6 +57,7 @@ from .harness import (
     run_suite,
 )
 from .models import (
+    FactoredHessian,
     GradientFamily,
     ModelResult,
     QuadraticModel,
@@ -75,6 +76,7 @@ __all__ = [
     "DirectionBundle",
     "DuplicatePointError",
     "EmptySetError",
+    "FactoredHessian",
     "FileFormatError",
     "FunctionOracle",
     "GradientFamily",

@@ -9,10 +9,17 @@ subspace) the fitted objects convert as
   ``col(Q)^perp`` implicit (see :class:`~subquad.models.GradientFamily`);
 * least-change:       ``H = Q Hhat Q^T + Href - P Href P`` with
   ``P = Q Q^T`` (the correction vanishes iff ``Href`` is supported on the
-  subspace); ``P Href P`` is formed as ``Q (Q^T Href Q) Q^T``, never
-  through the ``n x n`` projector;
+  subspace);
 * simplex gradient/Hessian: ``g = Q ghat`` and ``H = Q Hhat Q^T`` whenever
   the stencil directions lie in ``col(Q)``.
+
+A lift's Hessian is a :class:`~subquad.models.FactoredHessian` ``(Q, Hhat,
+Href)``: the lifts, ``restrict`` and ``coincidence_check`` work on those
+factors in ``O(n d^2)`` per vector (a Frobenius gap adds one ``O(n^2 d)``
+pass in row blocks when there is an ``Href``), and ``model.H`` materializes
+the ``n x n`` array only when it is read. A model whose Hessian is an array
+keeps the dense expressions. ``Href`` may be held as the vector of its
+diagonal, as ``--href 0`` and ``I<n>`` are.
 
 A subspace model anchored at ``xhat0`` lifts to a model anchored at
 ``x0 + Q xhat0``, and ``restrict`` re-anchors a full-space model at the
@@ -41,7 +48,15 @@ from .errors import (
     VariantPreconditionError,
 )
 from .geometry import SubspaceFrame, _span_coordinates
-from .models import GradientFamily, ModelResult, QuadraticModel
+from .models import (
+    FactoredHessian,
+    GradientFamily,
+    ModelResult,
+    QuadraticModel,
+    dense_reference,
+    reference_correction,
+    restricted_reference,
+)
 
 #: Relative Frobenius size above which a least-change correction "counts".
 CORRECTION_TOL = 1e-12
@@ -110,26 +125,6 @@ def _lift_family(family: GradientFamily,
     )
 
 
-def reference_correction(href: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``Href - P Href P`` with ``P = Q Q^T``, formed through ``Q``."""
-    return href - basis @ (basis.T @ href @ basis) @ basis.T
-
-
-def lifted_hessian(basis: np.ndarray, core: np.ndarray,
-                   correction: np.ndarray | None = None) -> np.ndarray:
-    """The lifted Hessian ``sym_part(Q Hhat Q^T [+ correction])``.
-
-    Every lift builds its Hessian here, and :func:`subquad.io.load_model`
-    rebuilds a lift's Hessian here from the factors ``(Q, Hhat)`` its file
-    holds (with ``reference_correction(href, Q)`` for least-change lifts),
-    so both give the same bits.
-    """
-    lifted = basis @ core @ basis.T
-    if correction is not None:
-        lifted = lifted + correction
-    return linalg.sym_part(lifted)
-
-
 def _lift_anchor(sub: ModelResult, frame: SubspaceFrame) -> np.ndarray:
     """``x0 + Q xhat0``, the full-space point of the subspace model's
     anchor ``xhat0``."""
@@ -145,11 +140,10 @@ def lift_mn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
     """
     _check_sub_result(sub, frame, ("mn", "dqi"))
     grad = frame.Q @ sub.model.g
-    hess = lifted_hessian(frame.Q, sub.model.H)
+    hess = FactoredHessian(frame.Q, sub.model.H)
     model = QuadraticModel(_lift_anchor(sub, frame), sub.model.c, grad, hess)
     family = GradientFamily(grad, np.zeros((frame.n, 0)))
-    return ModelResult(model, family, "mn",
-                       hessian_factors=(frame.Q, sub.model.H))
+    return ModelResult(model, family, "mn")
 
 
 def lift_mfn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
@@ -159,59 +153,55 @@ def lift_mfn(sub: ModelResult, frame: SubspaceFrame) -> ModelResult:
     subspace joins the gradient ambiguity.
     """
     _check_sub_result(sub, frame, ("mfn",))
-    hess = lifted_hessian(frame.Q, sub.model.H)
+    hess = FactoredHessian(frame.Q, sub.model.H)
     family = _lift_family(sub.gradients, frame)
     model = QuadraticModel(
         _lift_anchor(sub, frame), sub.model.c, family.canonical, hess
     )
-    return ModelResult(model, family, "mfn",
-                       hessian_factors=(frame.Q, sub.model.H))
+    return ModelResult(model, family, "mfn")
 
 
-def _correction_counts(correction, hess) -> bool:
-    """True when ``correction`` is large against the Hessian ``hess``."""
-    return bool(
-        np.linalg.norm(correction) > CORRECTION_TOL * np.linalg.norm(hess)
-    )
+def _correction_counts(correction: float, hess: float) -> bool:
+    """True when a correction of Frobenius norm ``correction`` is large
+    against a Hessian of norm ``hess``."""
+    return bool(correction > CORRECTION_TOL * hess)
 
 
 def lift_lfu(sub: ModelResult, frame: SubspaceFrame,
              href_full) -> ModelResult:
     """Lift a subspace least-change fit given the full-space reference.
 
-    Checks that the subspace fit used ``Q^T Href Q`` as its reference, then
-    applies ``H = Q Hhat Q^T + Href - P Href P``. ``correction_applied``
-    records whether the last two terms contributed.
+    ``href_full`` is an ``n x n`` array or a length-``n`` vector standing
+    for its diagonal; the lift holds it in its
+    :func:`~subquad.models.held_reference` form, so ``--href I<n>`` never
+    becomes an ``n x n`` array. Checks that the subspace fit used
+    ``Q^T Href Q`` as its reference, then applies ``H = Q Hhat Q^T + Href -
+    P Href P``. ``correction_applied`` records whether the last two terms
+    contributed.
     """
     _check_sub_result(sub, frame, ("lfu",))
-    href = linalg.sym_part(linalg.as_matrix(href_full, "reference Hessian"))
-    if href.shape != (frame.n, frame.n):
-        raise DimensionMismatchError(
-            f"reference Hessian shape {href.shape} does not match the "
-            f"full dimension {frame.n}"
-        )
-    restricted = frame.Q.T @ href @ frame.Q
+    hess = FactoredHessian(frame.Q, sub.model.H, href_full)
     stored = sub.reference_hessian
     if stored is None:
         raise ReferenceMismatchError(
             "subspace result carries no reference Hessian"
         )
-    drift = np.linalg.norm(stored - restricted)
+    restricted = hess.restricted
+    drift = np.linalg.norm(dense_reference(stored) - restricted)
     if drift > REFERENCE_RTOL * max(1.0, np.linalg.norm(restricted)):
         raise ReferenceMismatchError(
             f"stored subspace reference differs from Q^T Href Q by {drift:.3e}"
         )
-    correction = reference_correction(href, frame.Q)
-    hess = lifted_hessian(frame.Q, sub.model.H, correction)
     family = _lift_family(sub.gradients, frame)
     model = QuadraticModel(
         _lift_anchor(sub, frame), sub.model.c, family.canonical, hess
     )
     return ModelResult(
         model, family, "lfu",
-        reference_hessian=href,
-        correction_applied=_correction_counts(correction, href),
-        hessian_factors=(frame.Q, sub.model.H),
+        reference_hessian=hess.href,
+        correction_applied=_correction_counts(
+            hess.correction_norm(), np.linalg.norm(hess.href)
+        ),
     )
 
 
@@ -299,10 +289,16 @@ def _restrict_model(model: QuadraticModel, frame: SubspaceFrame):
             f"dimension {frame.n}"
         )
     step = frame.x0 - model.x0
-    shift = 0.5 * (model.H @ step + step @ model.H)
+    factored = model.factored
+    if factored is not None:
+        shift = factored.dot(step)
+        hess = factored.project(frame.Q)
+    else:
+        shift = 0.5 * (model.H @ step + step @ model.H)
+        hess = frame.Q.T @ model.H @ frame.Q
     restricted = QuadraticModel(
         np.zeros(frame.d), model(frame.x0), frame.Q.T @ (model.g + shift),
-        frame.Q.T @ model.H @ frame.Q,
+        hess,
     )
     return restricted, shift
 
@@ -323,7 +319,7 @@ def restrict(obj, frame: SubspaceFrame):
         family = _restrict_family(obj.gradients, frame, shift)
         href = obj.reference_hessian
         if href is not None:
-            href = linalg.sym_part(frame.Q.T @ href @ frame.Q)
+            href = restricted_reference(href, frame.Q)
         return ModelResult(model, family, obj.kind, reference_hessian=href)
     if isinstance(obj, QuadraticModel):
         return _restrict_model(obj, frame)[0]
@@ -352,7 +348,11 @@ def _unwrap_model(obj) -> QuadraticModel:
 def _row_values(model: QuadraticModel, points: np.ndarray) -> np.ndarray:
     """The model's values at the rows of ``points``, in one product."""
     steps = points - model.x0
-    curvature = np.sum((steps @ model.H.T) * steps, axis=1)
+    factored = model.factored
+    if factored is not None:
+        curvature = factored.curvature(steps)
+    else:
+        curvature = np.sum((steps @ model.H.T) * steps, axis=1)
     return model.c + steps @ model.g + 0.5 * curvature
 
 
@@ -398,6 +398,7 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
     on_subspace = frame.x0 + xhat @ frame.Q.T
     # full_model at x0 + complement[:, j], every column in one product
     steps = (frame.x0[:, None] + complement) - full_model.x0[:, None]
+    factored = full_model.factored
     with np.errstate(over="ignore", invalid="ignore"):
         # the subspace model at every probe and, last, at the origin
         sub_values = _row_values(
@@ -407,9 +408,11 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
         off_values = _row_values(
             full_model, on_subspace + coeffs @ complement.T
         )
-        comp_values = full_model.c + full_model.g @ steps + 0.5 * np.sum(
-            (full_model.H @ steps) * steps, axis=0
-        )
+        if factored is not None:
+            curvature = factored.curvature(steps.T)
+        else:
+            curvature = np.sum((full_model.H @ steps) * steps, axis=0)
+        comp_values = full_model.c + full_model.g @ steps + 0.5 * curvature
         values = (sub_values, on_values, off_values, comp_values)
         if not all(np.isfinite(part).all() for part in values):
             raise NonFiniteError(
@@ -426,14 +429,24 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
         )) if n_comp else sub_gap
 
     lifted_g = frame.Q @ sub_model.g
-    lifted_h = frame.Q @ sub_model.H @ frame.Q.T
-    correction = reference_correction(full_model.H, frame.Q)
+    if factored is not None:
+        hessian_gap, correction, scale = factored.distances(frame.Q, (
+            sub_model.H, factored.project(frame.Q), np.zeros((frame.d,) * 2)
+        ))
+        correction_applied = _correction_counts(correction, scale)
+    else:
+        lifted_h = frame.Q @ sub_model.H @ frame.Q.T
+        hessian_gap = np.linalg.norm(full_model.H - lifted_h)
+        correction_applied = _correction_counts(
+            np.linalg.norm(reference_correction(full_model.H, frame.Q)),
+            np.linalg.norm(full_model.H),
+        )
     return ConversionReport(
         gradient_gap=float(np.linalg.norm(full_model.g - lifted_g)),
-        hessian_gap=float(np.linalg.norm(full_model.H - lifted_h)),
+        hessian_gap=float(hessian_gap),
         subspace_value_gap=sub_gap,
         orthogonal_value_gap=orth_gap,
-        correction_applied=_correction_counts(correction, full_model.H),
+        correction_applied=correction_applied,
         complement_probe_gaps=tuple(comp_gaps.tolist()),
         value_scale=value_scale,
         probe_scale=probe_scale,

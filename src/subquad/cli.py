@@ -143,7 +143,7 @@ def _cmd_subspace_lift(args) -> int:
             raise FileFormatError(
                 "lifting a least-change model needs --href (full-space)"
             )
-        href = io.load_reference_hessian(args.href, frame.n)
+        href = io.load_reference(args.href, frame.n)
         lifted = bridge.lift_lfu(sub, frame, href)
     else:
         raise FileFormatError(

@@ -89,7 +89,8 @@ class SampleSet:
     ``values[0]`` is the function value at ``x0`` and ``values[1 + i]`` the
     value at ``x0 + displacements[i]``. Duplicate displacements (within
     ``DEDUP_RTOL`` relative distance) are merged when their values agree and
-    rejected otherwise. ``lengths`` holds their :func:`linalg.row_norms`.
+    rejected otherwise. ``lengths`` holds their :func:`linalg.row_norms`; a
+    displacement whose length overflows raises :class:`NonFiniteError`.
     """
 
     x0: np.ndarray
@@ -113,10 +114,16 @@ class SampleSet:
                 f"expected {disp.shape[0] + 1} values "
                 f"(x0 plus one per displacement), got {values.shape[0]}"
             )
-        norms = linalg.row_norms(disp)
+        with np.errstate(over="ignore"):
+            norms = linalg.row_norms(disp)
         if np.any(norms == 0.0):
             raise DuplicatePointError(
                 "zero displacement duplicates the base point"
+            )
+        if not np.isfinite(norms).all():
+            raise NonFiniteError(
+                f"displacement {int(np.argmax(~np.isfinite(norms)))} has a "
+                "length that overflows"
             )
         disp, values, norms = _merge_duplicates(disp, values, norms)
         object.__setattr__(self, "x0", x0)

@@ -14,21 +14,25 @@ array, an implicit one as ``{"lifted": E, "complement_of": K}`` (about half
 the floats of ``[E, orthonormal_complement(K)]``). The loader reads both; a
 reader of the array form alone rejects the object as not numeric.
 
-A subspace lift (``bridge.lift_mn``, ``lift_mfn``, ``lift_lfu``) writes its
-Hessian as the factors it was built from, ``{"lifted": Hhat, "basis": Q}``
-with ``Q`` of ``d`` columns, in place of the ``n x n`` matrix. The loader
-rebuilds ``H`` with :func:`~subquad.bridge.lifted_hessian`, adding the
-correction of the file's ``href`` for least-change models, so the loaded
-``H`` has the lift's bits. Fits, restrictions and ``d``-dimensional models
-write ``H`` as an array, and a reader of that form alone rejects the
-object form as not numeric. A lift's gradient ambiguity is the complement
-of that same ``Q``, so it is written ``"complement_of": "basis"``, a
-reference to ``H.basis``, and ``Q`` is written once.
+A subspace lift (``bridge.lift_mn``, ``lift_mfn``, ``lift_lfu``) holds its
+Hessian as a :class:`~subquad.models.FactoredHessian` and writes it as the
+factors, ``{"lifted": Hhat, "basis": Q}`` with ``Q`` of ``d`` columns, in
+place of the ``n x n`` matrix. The loader keeps it factored, with the
+file's ``href`` as the reference of least-change models, and never builds
+the array: ``model.H`` materializes it on first read, with the lift's bits.
+``Q`` must have orthonormal columns to ``ORTHONORMALITY_TOL``, as the
+implicit ambiguity's ``complement_of`` must. Fits, restrictions and
+``d``-dimensional models write ``H`` as an array, and a reader of that form
+alone rejects the object form as not numeric. A lift's gradient ambiguity
+is the complement of that same ``Q``, so it is written ``"complement_of":
+"basis"``, a reference to ``H.basis``, and ``Q`` is written once.
 
-A reference Hessian whose off-diagonal entries are all ``+0.0`` (the CLI's
-``--href 0`` and ``I<n>``) is written ``"href": {"diagonal": v}``; the
-loader rebuilds ``np.diag(v)``, the same bits. Any other ``href``, a
-``-0.0`` off the diagonal included, is written as an array.
+A reference Hessian held as the vector of its diagonal, or whose
+off-diagonal entries are all ``+0.0`` (the CLI's ``--href 0`` and ``I<n>``),
+is written ``"href": {"diagonal": v}``. A lift file's loads as ``v``, the
+form the lift held; any other model's as ``np.diag(v)``, the same bits.
+Any other ``href``, a ``-0.0`` off the diagonal included, is written as an
+array.
 """
 
 from __future__ import annotations
@@ -38,10 +42,16 @@ import json
 
 import numpy as np
 
-from .bridge import lifted_hessian, reference_correction
 from .errors import FileFormatError
 from .geometry import SampleSet, SubspaceFrame
-from .models import GradientFamily, ModelResult, QuadraticModel
+from .models import (
+    FactoredHessian,
+    GradientFamily,
+    ModelResult,
+    QuadraticModel,
+    _is_diagonal,
+    dense_reference,
+)
 from .simplex import DirectionBundle
 
 MODEL_KINDS = ("dqi", "mn", "mfn", "lfu", "qgsd")
@@ -227,9 +237,9 @@ def _basis_rows(value, name, n, path) -> np.ndarray:
 
 
 def _factored_hessian(value: dict, kind: str, href, n: int, path):
-    """``(H, (Q, Hhat))`` of a factored ``"H"``: ``Q`` with ``n`` rows, a
-    square ``Hhat`` of its column count, and ``H`` rebuilt as the lift
-    built it (with the correction of ``href`` for least-change models)."""
+    """The :class:`FactoredHessian` of a factored ``"H"``: ``Q`` with ``n``
+    rows, a square ``Hhat`` of its column count, and the file's ``href``
+    for least-change models."""
     unknown = sorted(set(value) - {"lifted", "basis"})
     if unknown:
         raise FileFormatError(f"{path}: unknown H fields {unknown}")
@@ -238,26 +248,16 @@ def _factored_hessian(value: dict, kind: str, href, n: int, path):
     k = basis.shape[1]
     if core.shape != (k, k):
         raise FileFormatError(f"{path}: H.lifted must be {k} x {k}")
-    correction = None
-    if kind == "lfu":
-        if href is None:
-            raise FileFormatError(
-                f"{path}: a least-change model with a factored 'H' needs "
-                "'href'"
-            )
-        correction = reference_correction(href, basis)
-    return lifted_hessian(basis, core, correction), (basis, core)
-
-
-def _is_diagonal(mat: np.ndarray) -> bool:
-    """True when every off-diagonal entry of a square float array is
-    ``+0.0``, by its bits (a ``-0.0`` is not)."""
-    bits = np.ascontiguousarray(mat, dtype=np.float64).view(np.uint64)
-    return np.count_nonzero(bits) == np.count_nonzero(np.diagonal(bits))
+    if kind == "lfu" and href is None:
+        raise FileFormatError(
+            f"{path}: a least-change model with a factored 'H' needs 'href'"
+        )
+    return FactoredHessian(basis, core, href if kind == "lfu" else None)
 
 
 def _reference_hessian(value, n: int, path) -> np.ndarray:
-    """``href`` from its array form or its ``{"diagonal": v}`` form."""
+    """``href`` from its array form, or its ``{"diagonal": v}`` form as
+    ``v``."""
     if not isinstance(value, dict):
         href = _as_array(value, "href", path)
         if href.shape != (n, n):
@@ -269,7 +269,7 @@ def _reference_hessian(value, n: int, path) -> np.ndarray:
     diagonal = _as_array(_need(value, "diagonal", path), "href.diagonal", path)
     if diagonal.shape != (n,):
         raise FileFormatError(f"{path}: href.diagonal must have length {n}")
-    return np.diag(diagonal)
+    return diagonal
 
 
 def model_to_dict(result: ModelResult, config: dict | None = None):
@@ -280,12 +280,12 @@ def model_to_dict(result: ModelResult, config: dict | None = None):
         "x0": model.x0,
         "c": model.c,
         "g": model.g,
-        "H": model.H,
+        "H": model.hessian,
     }
-    basis = None
-    if result.hessian_factors is not None:
-        basis, core = result.hessian_factors
-        doc["H"] = {"lifted": core, "basis": basis}
+    factored, basis = model.factored, None
+    if factored is not None:
+        basis = factored.basis
+        doc["H"] = {"lifted": factored.core, "basis": basis}
     family = result.gradients
     kernel = family.complement_of
     if family.dim and kernel is None:
@@ -297,7 +297,9 @@ def model_to_dict(result: ModelResult, config: dict | None = None):
             "lifted": family.explicit, "complement_of": kernel,
         }
     href = result.reference_hessian
-    if href is not None:
+    if href is not None and href.ndim == 1:
+        doc["href"] = {"diagonal": href}
+    elif href is not None:
         doc["href"] = (
             {"diagonal": np.diag(href)} if _is_diagonal(href) else href
         )
@@ -324,15 +326,19 @@ def load_model(path) -> ModelResult:
     n = _need_int(doc, "n", path)
     x0 = _as_array(_need(doc, "x0", path), "x0", path)
     grad = _as_array(_need(doc, "g", path), "g", path)
+    hess = _need(doc, "H", path)
     href = None
     if "href" in doc:
         href = _reference_hessian(doc["href"], n, path)
-    hess, factors = _need(doc, "H", path), None
     if isinstance(hess, dict):
-        hess, factors = _factored_hessian(hess, kind, href, n, path)
+        hess = _factored_hessian(hess, kind, href, n, path)
+        shape = (n, n)
+        href = hess.href if kind == "lfu" else href
     else:
         hess = _as_array(hess, "H", path)
-    if x0.shape != (n,) or grad.shape != (n,) or hess.shape != (n, n):
+        shape = hess.shape
+        href = None if href is None else dense_reference(href)
+    if x0.shape != (n,) or grad.shape != (n,) or shape != (n, n):
         raise FileFormatError(
             f"{path}: inconsistent model dimensions for n={n}"
         )
@@ -354,13 +360,13 @@ def load_model(path) -> ModelResult:
         if kernel != "basis":
             kernel = _basis_rows(kernel, "ambiguity_basis.complement_of",
                                  n, path)
-        elif factors is None:
+        elif model.factored is None:
             raise FileFormatError(
                 f"{path}: ambiguity_basis.complement_of 'basis' needs a "
                 "factored 'H'"
             )
         else:
-            kernel = factors[0]
+            kernel = model.factored.basis
     else:
         explicit = _basis_rows(ambiguity, "ambiguity_basis", n, path)
     correction = doc.get("correction_applied")
@@ -371,7 +377,6 @@ def load_model(path) -> ModelResult:
     return ModelResult(
         model, GradientFamily(grad, explicit, kernel), kind,
         reference_hessian=href, correction_applied=correction,
-        hessian_factors=factors,
     )
 
 
@@ -486,16 +491,22 @@ def load_reference_hessian(spec: str, n: int) -> np.ndarray:
 
     The file form holds ``n`` and a symmetric matrix ``H``.
     """
+    return dense_reference(load_reference(spec, n))
+
+
+def load_reference(spec: str, n: int) -> np.ndarray:
+    """:func:`load_reference_hessian` in the form a lift holds it: ``0``
+    and ``I<n>`` as the length-``n`` vector of their diagonal."""
     text = str(spec).strip()
     if text == "0":
-        return np.zeros((n, n))
+        return np.zeros(n)
     if text.upper().startswith("I") and text[1:].isdigit():
         k = int(text[1:])
         if k != n:
             raise FileFormatError(
                 f"reference identity order {k} does not match dimension {n}"
             )
-        return np.eye(n)
+        return np.ones(n)
     doc = read_document(text)
     k = _need_int(doc, "n", text)
     hess = _as_array(_need(doc, "H", text), "H", text)

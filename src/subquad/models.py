@@ -33,11 +33,17 @@ reference the verification harness compares the span route with.
 Feasibility is judged on the model a fit returns: ``fit_mn``, ``fit_mfn``
 and ``fit_lfu`` raise :class:`InfeasibleError` exactly when that model misses
 one of the caller's values by more than ``feas_tol * max(1, max |values|)``.
+
+A :class:`QuadraticModel` holds its Hessian as an ``n x n`` array (every fit
+returns one) or as a :class:`FactoredHessian` ``(Q, Hhat, Href)`` (every
+subspace lift and every lift file loaded). Values, products with ``H``,
+restrictions and Frobenius gaps of a factored Hessian are taken from its
+factors; ``model.H`` materializes the array on first read and keeps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -59,36 +65,264 @@ from .geometry import (
 )
 
 
+def reference_correction(href: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``Href - P Href P`` with ``P = Q Q^T``, formed through ``Q``."""
+    return href - basis @ (basis.T @ href @ basis) @ basis.T
+
+
+def lifted_hessian(basis: np.ndarray, core: np.ndarray,
+                   correction: np.ndarray | None = None) -> np.ndarray:
+    """The lifted Hessian ``sym_part(Q Hhat Q^T [+ correction])``.
+
+    :meth:`FactoredHessian.dense` builds every lift's array here, with
+    ``reference_correction(Href, Q)`` for least-change lifts.
+    """
+    lifted = basis @ core @ basis.T
+    if correction is not None:
+        lifted = lifted + correction
+    return linalg.sym_part(lifted)
+
+
+def _is_diagonal(mat: np.ndarray) -> bool:
+    """True when every off-diagonal entry of a square float array is
+    ``+0.0``, by its bits (a ``-0.0`` is not)."""
+    bits = np.ascontiguousarray(mat, dtype=np.float64).view(np.uint64)
+    return np.count_nonzero(bits) == np.count_nonzero(np.diagonal(bits))
+
+
+def held_reference(href, n: int) -> np.ndarray:
+    """A full-space reference Hessian in the form a lift holds it.
+
+    A length-``n`` vector ``v`` stands for ``diag(v)`` and is kept. An
+    ``n x n`` array is replaced by its exactly symmetric part, and by the
+    vector of its diagonal when every off-diagonal entry is ``+0.0``.
+    """
+    arr = np.asarray(href, dtype=float)
+    if arr.ndim == 1:
+        vec = linalg.as_vector(arr, "reference Hessian diagonal")
+        if vec.shape != (n,):
+            raise DimensionMismatchError(
+                f"reference Hessian diagonal of length {vec.shape[0]} does "
+                f"not match the full dimension {n}"
+            )
+        return vec
+    mat = linalg.sym_part(linalg.as_matrix(arr, "reference Hessian"))
+    if mat.shape != (n, n):
+        raise DimensionMismatchError(
+            f"reference Hessian shape {mat.shape} does not match the "
+            f"full dimension {n}"
+        )
+    return np.diag(mat).copy() if _is_diagonal(mat) else mat
+
+
+def dense_reference(href: np.ndarray) -> np.ndarray:
+    """The array of a reference Hessian held as an array or as the vector
+    of its diagonal."""
+    return np.diag(href) if href.ndim == 1 else href
+
+
+def restricted_reference(href: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``sym_part(B^T Href B)`` for a reference held as an array or as the
+    vector of its diagonal; ``O(n k^2)`` for the vector."""
+    if href.ndim == 1:
+        return linalg.sym_part((basis.T * href) @ basis)
+    return linalg.sym_part(basis.T @ href @ basis)
+
+
+#: Floats in one row block of a streamed ``n x n`` Frobenius norm.
+_BLOCK_FLOATS = 1 << 17
+
+
+def _reference_gap(href: np.ndarray, basis: np.ndarray,
+                   restricted: np.ndarray) -> float:
+    """``||Href - B R B^T||_F`` for an orthonormal ``n x k`` ``B`` and its
+    ``R = restricted_reference(Href, B)``, summed over row blocks of at
+    most ``_BLOCK_FLOATS`` entries: ``O(n^2 k)``, no ``n x n`` array."""
+    n = basis.shape[0]
+    right = -restricted @ basis.T
+    rows = max(1, _BLOCK_FLOATS // n)
+    total = 0.0
+    for start in range(0, n, rows):
+        block = basis[start:start + rows] @ right
+        if href.ndim == 1:
+            index = np.arange(block.shape[0])
+            block[index, index + start] += href[start:start + rows]
+        else:
+            block += href[start:start + rows]
+        total += float(np.vdot(block, block))
+    return float(np.sqrt(total))
+
+
+@dataclass(frozen=True)
+class FactoredHessian:
+    """The Hessian ``sym(Q Hhat Q^T + Href - Q (Q^T Href Q) Q^T)`` held as
+    its factors ``(Q, Hhat, Href)``, as a subspace lift builds it.
+
+    ``basis`` is ``Q`` (``n x d``, orthonormal columns to
+    ``ORTHONORMALITY_TOL``), ``core`` the ``d x d`` subspace Hessian and
+    ``href`` the least-change reference in its :func:`held_reference` form,
+    or ``None`` for no correction. With ``M = sym(Hhat) - sym(Q^T Href Q)``
+    the Hessian is ``Q M Q^T + Href``, so a product with a vector costs
+    ``O(n d)`` plus the reference's own product, and a Frobenius gap
+    ``O(n d^2)`` plus, with ``Href``, one ``O(n^2 d)`` pass in row blocks;
+    no ``n x n`` array is formed. :meth:`dense` builds the array with
+    :func:`lifted_hessian`.
+    """
+
+    basis: np.ndarray
+    core: np.ndarray
+    href: np.ndarray | None = None
+
+    def __post_init__(self):
+        basis = linalg.as_matrix(self.basis, "Hessian basis")
+        core = linalg.as_matrix(self.core, "subspace Hessian")
+        n, d = basis.shape
+        if core.shape != (d, d):
+            raise DimensionMismatchError(
+                f"subspace Hessian of shape {core.shape} does not match "
+                f"the {d} basis columns"
+            )
+        _require_orthonormal(basis, "Hessian basis")
+        href = self.href
+        if href is not None:
+            href = held_reference(href, n)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "href", href)
+
+    @property
+    def n(self) -> int:
+        return self.basis.shape[0]
+
+    @cached_property
+    def restricted(self) -> np.ndarray | None:
+        """``sym(Q^T Href Q)``, or ``None`` without ``Href``."""
+        if self.href is None:
+            return None
+        return restricted_reference(self.href, self.basis)
+
+    @cached_property
+    def middle(self) -> np.ndarray:
+        """``sym(Hhat) - sym(Q^T Href Q)``, so that ``H = Q M Q^T + Href``."""
+        middle = linalg.sym_part(self.core)
+        if self.href is not None:
+            middle = middle - self.restricted
+        return middle
+
+    def dense(self) -> np.ndarray:
+        """The ``n x n`` array, with the bits a lift has always built."""
+        correction = None
+        if self.href is not None:
+            correction = reference_correction(dense_reference(self.href),
+                                              self.basis)
+        return lifted_hessian(self.basis, self.core, correction)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """``H @ x`` for a vector ``x``."""
+        out = self.basis @ (self.middle @ (self.basis.T @ x))
+        href = self.href
+        if href is not None:
+            out += href * x if href.ndim == 1 else href @ x
+        return out
+
+    def curvature(self, steps: np.ndarray) -> np.ndarray:
+        """``s^T H s`` for every row ``s`` of ``steps``."""
+        coords = steps @ self.basis
+        out = np.sum((coords @ self.middle) * coords, axis=1)
+        href = self.href
+        if href is not None and href.ndim == 1:
+            out += np.square(steps) @ href
+        elif href is not None:
+            out += np.sum((steps @ href) * steps, axis=1)
+        return out
+
+    def project(self, basis: np.ndarray) -> np.ndarray:
+        """``B^T H B`` for an ``n x k`` basis ``B``."""
+        coords = self.basis.T @ basis
+        out = coords.T @ self.middle @ coords
+        if self.href is not None:
+            out += restricted_reference(self.href, basis)
+        return out
+
+    def distances(self, basis: np.ndarray, cores) -> list:
+        """``||H - B A B^T||_F`` for an ``n x k`` ``B`` and each ``k x k``
+        ``A`` in ``cores``; a zero ``A`` gives ``||H||_F``.
+
+        With the thin QR ``[Q, B] = U R``, ``H - B A B^T = U S U^T + Href``
+        for ``S = R blockdiag(M, -A) R^T``. Its squared norm is ``||S + U^T
+        Href U||^2 + ||Href - U U^T Href U U^T||^2``: the first term is
+        ``O(n d^2)``, the second one row-block pass shared by every ``A``.
+        """
+        d = self.core.shape[0]
+        unitary, upper = np.linalg.qr(np.hstack([self.basis, basis]))
+        lead, tail = upper[:, :d], upper[:, d:]
+        inner = lead @ self.middle @ lead.T
+        outside = 0.0
+        if self.href is not None:
+            restricted = restricted_reference(self.href, unitary)
+            inner += restricted
+            outside = _reference_gap(self.href, unitary, restricted)
+        return [
+            float(np.hypot(np.linalg.norm(inner - tail @ core @ tail.T),
+                           outside))
+            for core in cores
+        ]
+
+    def correction_norm(self) -> float:
+        """``||Href - Q (Q^T Href Q) Q^T||_F``, zero without ``Href``."""
+        if self.href is None:
+            return 0.0
+        return _reference_gap(self.href, self.basis, self.restricted)
+
+
 @dataclass(frozen=True)
 class QuadraticModel:
     """Quadratic ``m(x) = c + g.(x - x0) + (x - x0)^T H (x - x0) / 2``.
 
-    ``H`` is stored exactly as supplied; interpolation fits always produce
-    an exactly symmetric matrix, while simplex-derivative models may carry
-    a raw nonsymmetric one (only its symmetric part affects values).
+    ``hessian`` is the ``n x n`` array ``H`` or a :class:`FactoredHessian`,
+    which ``factored`` also holds (``None`` for an array). An array is
+    stored exactly as supplied; interpolation fits always produce an
+    exactly symmetric matrix, while simplex-derivative models may carry a
+    raw nonsymmetric one (only its symmetric part affects values). ``H``
+    reads the Hessian as an array, materialized once on first read for a
+    factored one.
     """
 
     x0: np.ndarray
     c: float
     g: np.ndarray
-    H: np.ndarray
+    hessian: np.ndarray | FactoredHessian
+    factored: FactoredHessian | None = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         x0 = linalg.as_vector(self.x0, "model x0")
         grad = linalg.as_vector(self.g, "model gradient")
-        hess = linalg.as_matrix(self.H, "model Hessian")
+        hess = factored = self.hessian
+        if isinstance(hess, FactoredHessian):
+            shape = (hess.n, hess.n)
+        else:
+            factored = None
+            hess = linalg.as_matrix(hess, "model Hessian")
+            shape = hess.shape
+            object.__setattr__(self, "H", hess)  # read without the property
         if not np.isfinite(self.c):
             raise InfeasibleError(f"model constant {self.c!r} is not finite")
         n = x0.shape[0]
-        if grad.shape[0] != n or hess.shape != (n, n):
+        if grad.shape[0] != n or shape != (n, n):
             raise DimensionMismatchError(
                 f"inconsistent model dimensions: x0 {x0.shape}, "
-                f"g {grad.shape}, H {hess.shape}"
+                f"g {grad.shape}, H {shape}"
             )
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "g", grad)
-        object.__setattr__(self, "H", hess)
+        object.__setattr__(self, "hessian", hess)
+        object.__setattr__(self, "factored", factored)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return self.hessian.dense()
 
     @property
     def n(self) -> int:
@@ -175,14 +409,11 @@ def _require_orthonormal(basis: np.ndarray, name: str):
 class ModelResult:
     """A fitted model plus its gradient family and bookkeeping.
 
-    ``reference_hessian`` is set for least-change fits, ``sample_points``
-    for stencil-based fits (the exact points consumed), and
-    ``correction_applied`` by subspace lifts that add a reference-Hessian
-    correction term. Subspace lifts also keep ``hessian_factors = (Q,
-    Hhat)``, the frame basis and subspace Hessian that
-    :func:`~subquad.bridge.lifted_hessian` built ``model.H`` from (with
-    the correction of ``reference_hessian`` for least-change lifts); model
-    files hold these factors in place of the ``n x n`` matrix.
+    ``reference_hessian`` is set for least-change fits (an array) and lifts
+    (in its :func:`held_reference` form, the reference of the lift's
+    :class:`FactoredHessian`), ``sample_points`` for stencil-based fits (the
+    exact points consumed), and ``correction_applied`` by subspace lifts
+    that add a reference-Hessian correction term.
     """
 
     model: QuadraticModel
@@ -191,7 +422,6 @@ class ModelResult:
     reference_hessian: np.ndarray | None = None
     sample_points: np.ndarray | None = None
     correction_applied: bool | None = None
-    hessian_factors: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -206,6 +436,10 @@ def evaluate(model: QuadraticModel, x) -> float:
             f"point of shape {np.shape(x)} does not match model "
             f"dimension {model.n}"
         )
+    factored = model.factored
+    if factored is not None:
+        curvature = factored.curvature(step[None, :])[0]
+        return float(model.c + model.g @ step + 0.5 * curvature)
     return float(model.c + model.g @ step + 0.5 * step @ (model.H @ step))
 
 

@@ -1,0 +1,325 @@
+"""Lifts hold their Hessian as factors ``(Q, Hhat, Href)``: the array they
+materialize keeps its bits, the factored products agree with the dense
+ones to rounding, and no ``n x n`` array is built on the way through
+lift, save, load and restrict."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subquad import io, linalg
+from subquad.bridge import (
+    CORRECTION_TOL,
+    coincidence_check,
+    lift_lfu,
+    lift_mfn,
+    lift_mn,
+    restrict,
+)
+from subquad.cli import main
+from subquad.geometry import SampleSet, SubspaceFrame, hat_sampleset
+from subquad.models import (
+    FactoredHessian,
+    GradientFamily,
+    ModelResult,
+    QuadraticModel,
+    dense_reference,
+    fit_lfu,
+    fit_mfn,
+    fit_mn,
+    lifted_hessian,
+    reference_correction,
+    restricted_reference,
+)
+
+EPS = np.finfo(float).eps
+
+HREFS = ("zero", "diagonal", "dense", "dense diagonal")
+
+
+def _instance(rng, n, d, m):
+    """``(sample set, frame)`` of a quadratic's values on ``m`` steps in a
+    random ``d``-dimensional subspace of R^n."""
+    basis, _ = linalg.orthonormal_columns(rng.standard_normal((n, d)))
+    dhat = rng.standard_normal((m, d))
+    disp = dhat @ basis.T
+    x0 = rng.standard_normal(n)
+    grad = rng.standard_normal(n)
+    hess = linalg.sym_part(rng.standard_normal((n, n)))
+    values = 0.3 + np.concatenate([
+        [0.0], disp @ grad + 0.5 * np.einsum("ij,jk,ik->i", disp, hess, disp)
+    ])
+    return SampleSet(x0, disp, values), SubspaceFrame(x0, basis, dhat=dhat)
+
+
+def _reference(rng, spec, n):
+    """A full-space reference of the given kind, as a lift is passed it."""
+    if spec == "zero":
+        return np.zeros(n)
+    if spec == "diagonal":
+        return rng.standard_normal(n)
+    if spec == "dense diagonal":
+        return np.diag(rng.standard_normal(n))
+    return linalg.sym_part(rng.standard_normal((n, n)))
+
+
+def _moved(sub, xhat0):
+    """``sub`` with its model anchored at ``xhat0`` (the same quadratic)."""
+    model = sub.model
+    grad = model.g + model.H @ xhat0
+    family = sub.gradients
+    moved = GradientFamily(grad, family.explicit, family.complement_of)
+    return ModelResult(
+        QuadraticModel(xhat0, model(xhat0), grad, model.H), moved, sub.kind,
+        reference_hessian=sub.reference_hessian,
+    )
+
+
+def _lift(kind, rng, n, d, spec, anchored):
+    """``(sub, lift, frame, href)`` for a fit in the span, lifted."""
+    sample_set, frame = _instance(rng, n, d, d + 2)
+    hatted = hat_sampleset(sample_set, frame)
+    href = None
+    if kind == "mn":
+        sub = fit_mn(hatted)
+    elif kind == "mfn":
+        sub = fit_mfn(hatted)
+    else:
+        href = _reference(rng, spec, n)
+        held = href if href.ndim == 1 else linalg.sym_part(href)
+        sub = fit_lfu(hatted, restricted_reference(held, frame.Q))
+    if not anchored:
+        sub = _moved(sub, rng.standard_normal(d))
+    lift = {"mn": lambda: lift_mn(sub, frame),
+            "mfn": lambda: lift_mfn(sub, frame),
+            "lfu": lambda: lift_lfu(sub, frame, href)}[kind]()
+    return sub, lift, frame, href
+
+
+def _dense(result):
+    """``result`` with its Hessian and reference materialized."""
+    model = result.model
+    href = result.reference_hessian
+    return ModelResult(
+        QuadraticModel(model.x0, model.c, model.g, model.H),
+        result.gradients, result.kind,
+        reference_hessian=None if href is None else dense_reference(href),
+        correction_applied=result.correction_applied,
+    )
+
+
+def _expected_hessian(sub, frame, href):
+    """The lifted Hessian from the dense expression, with no factor."""
+    correction = None
+    if href is not None:
+        correction = reference_correction(
+            linalg.sym_part(dense_reference(href)), frame.Q
+        )
+    return lifted_hessian(frame.Q, sub.model.H, correction)
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
+
+class TestMaterializedBits:
+    """``model.H`` of a lift, in memory and loaded from its file, has the
+    bits of :func:`lifted_hessian` on the lift's inputs."""
+
+    @pytest.mark.parametrize("anchored", [True, False])
+    @pytest.mark.parametrize("kind,spec", [
+        ("mn", None), ("mfn", None),
+        *[("lfu", spec) for spec in HREFS],
+    ])
+    def test_lift_and_file(self, tmp_path, kind, spec, anchored):
+        rng = np.random.default_rng(500)
+        sub, lift, frame, href = _lift(kind, rng, 60, 4, spec, anchored)
+        assert lift.model.factored is not None
+        want = _bits(_expected_hessian(sub, frame, href))
+        np.testing.assert_array_equal(_bits(lift.model.H), want)
+        assert lift.model.H is lift.model.H  # materialized once
+        path = tmp_path / "lift.json"
+        io.save_model(str(path), lift)
+        loaded = io.load_model(str(path))
+        assert loaded.model.factored is not None
+        np.testing.assert_array_equal(_bits(loaded.model.H), want)
+
+    def test_reference_is_held_as_its_diagonal(self):
+        rng = np.random.default_rng(501)
+        for spec in ("zero", "diagonal", "dense diagonal"):
+            _, lift, _, href = _lift("lfu", rng, 30, 3, spec, True)
+            assert lift.reference_hessian.shape == (30,)
+            np.testing.assert_array_equal(
+                _bits(np.diag(lift.reference_hessian)),
+                _bits(dense_reference(href)),
+            )
+        _, lift, _, _ = _lift("lfu", rng, 30, 3, "dense", True)
+        assert lift.reference_hessian.shape == (30, 30)
+
+
+def _bound(n, *scales):
+    """Rounding allowed between the factored and the dense path: a few
+    ``n eps`` of the sizes the two sums are made of."""
+    return 64.0 * n * EPS * max(1.0, sum(scales))
+
+
+class TestFactoredAgreesWithDense:
+    """On mn, mfn and lfu lifts with zero, diagonal and dense references
+    and with the sub model anchored at or off the frame origin, the
+    factored ``evaluate``, ``restrict`` and ``coincidence_check`` give the
+    dense path's numbers to rounding and the same ``correction_applied``."""
+
+    @given(
+        kind=st.sampled_from(["mn", "mfn", "lfu"]),
+        spec=st.sampled_from(HREFS),
+        anchored=st.booleans(),
+        n=st.integers(min_value=2, max_value=40),
+        d=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, kind, spec, anchored, n, d, seed):
+        d = min(d, n)
+        rng = np.random.default_rng(seed)
+        sub, lift, frame, href = _lift(kind, rng, n, d, spec, anchored)
+        dense = _dense(lift)
+        model = lift.model
+        h_scale = np.linalg.norm(sub.model.H)
+        if href is not None:
+            h_scale += np.linalg.norm(href)
+            want = np.linalg.norm(reference_correction(
+                dense.reference_hessian, frame.Q
+            )) > CORRECTION_TOL * np.linalg.norm(dense.reference_hessian)
+            assert lift.correction_applied is bool(want)
+
+        for _ in range(4):
+            point = model.x0 + rng.standard_normal(n)
+            step = np.linalg.norm(point - model.x0)
+            bound = _bound(n, abs(model.c), np.linalg.norm(model.g) * step,
+                           h_scale * step ** 2)
+            assert abs(model(point) - dense.model(point)) <= bound
+
+        got, want = restrict(lift, frame), restrict(dense, frame)
+        step = np.linalg.norm(frame.x0 - model.x0)
+        bound = _bound(n, abs(model.c), np.linalg.norm(model.g) * (1 + step),
+                       h_scale * (1 + step) ** 2)
+        assert abs(got.model.c - want.model.c) <= bound
+        for a, b in ((got.model.g, want.model.g),
+                     (got.gradients.canonical, want.gradients.canonical),
+                     (got.model.H, want.model.H)):
+            assert np.max(np.abs(a - b)) <= bound
+        if href is not None:
+            assert np.max(np.abs(got.reference_hessian
+                                 - want.reference_hessian)) <= bound
+        assert got.gradients.dim == want.gradients.dim
+
+        for full_sub in (sub, got):
+            a = coincidence_check(lift, full_sub, frame, probes=3, seed=seed)
+            b = coincidence_check(dense, full_sub, frame, probes=3, seed=seed)
+            assert a.correction_applied is b.correction_applied
+            scale = max(a.value_scale, b.value_scale)
+            bound = _bound(n, scale, h_scale * (1 + step) ** 2)
+            for field in ("gradient_gap", "subspace_value_gap",
+                          "orthogonal_value_gap", "value_scale"):
+                assert abs(getattr(a, field) - getattr(b, field)) <= bound
+            assert abs(a.hessian_gap - b.hessian_gap) <= _bound(n, h_scale)
+            np.testing.assert_allclose(a.complement_probe_gaps,
+                                       b.complement_probe_gaps,
+                                       rtol=0, atol=bound)
+
+
+class TestFrobeniusGaps:
+    """Frobenius gaps split into a ``2d x 2d`` part and the reference's
+    part off the span, summed over row blocks (two at ``n = 500``); they
+    match the dense norms to rounding."""
+
+    @pytest.mark.parametrize("spec", [None, "zero", "diagonal", "dense"])
+    def test_match_dense_norms(self, spec):
+        rng = np.random.default_rng(503)
+        n, d = 500, 4
+        basis, _ = linalg.orthonormal_columns(rng.standard_normal((n, d)))
+        other, _ = linalg.orthonormal_columns(rng.standard_normal((n, 3)))
+        core = linalg.sym_part(rng.standard_normal((d, d)))
+        inner = rng.standard_normal((3, 3))
+        href = None if spec is None else _reference(rng, spec, n)
+        hess = FactoredHessian(basis, core, href)
+        dense = hess.dense()
+        scale = np.linalg.norm(dense)
+        got = hess.distances(other, (np.zeros((3, 3)), inner))
+        got += hess.distances(basis, (hess.project(basis),))
+        pairs = list(zip(got, (
+            scale, np.linalg.norm(dense - other @ inner @ other.T),
+            np.linalg.norm(reference_correction(dense, basis)),
+        )))
+        if href is not None:
+            pairs.append((hess.correction_norm(), np.linalg.norm(
+                reference_correction(dense_reference(hess.href), basis)
+            )))
+        for got, want in pairs:
+            assert abs(got - want) <= _bound(n, scale)
+
+
+class TestNoSquareArray:
+    """Lift, save, load and restrict at ``n = 2000`` allocate no array of
+    ``n^2`` floats: the traced peak stays below one such array."""
+
+    N = 2000
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        rng = np.random.default_rng(502)
+        tmp = tmp_path_factory.mktemp("factored")
+        sample_set, frame = _instance(rng, self.N, 6, 20)
+        paths = {key: str(tmp / f"{key}.json")
+                 for key in ("frame", "hat", "mn", "mfn", "lfu")}
+        io.save_frame(paths["frame"], frame)
+        hatted = hat_sampleset(sample_set, frame)
+        io.save_sampleset(paths["hat"], hatted)
+        io.save_model(paths["mn"], fit_mn(hatted))
+        io.save_model(paths["mfn"], fit_mfn(hatted))
+        io.save_model(paths["lfu"], fit_lfu(hatted, np.eye(6)))
+        return paths
+
+    @staticmethod
+    def _peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu"])
+    def test_library_path(self, files, tmp_path, kind):
+        frame = io.load_frame(files["frame"])
+        sub = io.load_model(files[kind])
+        out = str(tmp_path / "lift.json")
+
+        def run():
+            if kind == "lfu":
+                lift = lift_lfu(sub, frame, io.load_reference("I2000", 2000))
+            else:
+                lift = (lift_mn if kind == "mn" else lift_mfn)(sub, frame)
+            io.save_model(out, lift)
+            back = restrict(io.load_model(out), frame)
+            io.save_model(str(tmp_path / "restrict.json"), back)
+
+        assert self._peak(run) < 8 * self.N ** 2
+
+    def test_cli_path(self, files, tmp_path):
+        lift, back = str(tmp_path / "lift.json"), str(tmp_path / "back.json")
+
+        def run():
+            assert main(["subspace", "lift", "--model", files["lfu"],
+                         "--frame", files["frame"], "--out", lift,
+                         "--href", "I2000"]) == 0
+            assert main(["subspace", "restrict", "--model", lift,
+                         "--frame", files["frame"], "--out", back]) == 0
+
+        assert self._peak(run) < 8 * self.N ** 2
+        restricted = io.load_model(back)
+        np.testing.assert_allclose(restricted.reference_hessian, np.eye(6),
+                                   atol=1e-12)

@@ -1,6 +1,7 @@
 """Sample sets, function oracles, subspace frames and feasibility."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -340,16 +341,27 @@ class TestDuplicateScreen:
         np.testing.assert_array_equal(merged.displacements, want_disp)
         np.testing.assert_array_equal(merged.values, want_values)
 
-    def test_overflowing_projections_match_pairwise_merge(self):
-        """Steps about as long as the largest float overflow their
-        projections; such a pair is still measured, as the pairwise loop
-        measures it."""
+    def test_overflowing_lengths_raise_before_the_merge(self):
+        """A step longer than the largest float has no length to measure
+        duplicates by: it raises, without a warning, where it used to
+        absorb an ordinary step as a duplicate. Steps of the largest
+        finite lengths still merge as the pairwise loop merges them."""
         huge = 1.7e308 * np.sign(geometry._projection_axis(3))
-        disp = np.array([huge, huge, [1e308, 1e308, 0.0]])
-        values = np.ones(4)
+        cases = [
+            (np.zeros(2), [[1.5e308, 1.5e308], [1.5e308, 1.5e308],
+                           [-1e308, 1e308], [1.0, 0.0]]),
+            (np.zeros(3), [huge, huge, [1e308, 1e308, 0.0]]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x0, disp in cases:
+                with pytest.raises(NonFiniteError,
+                                   match="displacement 0 has a length"):
+                    SampleSet(x0, disp, np.ones(len(disp) + 1))
+            disp = np.array([huge / 1.7, huge / 1.7, [1e308, 1e308, 0.0]])
+            merged = SampleSet(np.zeros(3), disp, np.ones(4))
         with np.errstate(over="ignore", invalid="ignore"):
-            merged = SampleSet(np.zeros(3), disp, values)
-            want_disp, want_values = merge_oracle(disp, values)
+            want_disp, want_values = merge_oracle(disp, np.ones(4))
         assert merged.m == 2
         np.testing.assert_array_equal(merged.displacements, want_disp)
         np.testing.assert_array_equal(merged.values, want_values)

@@ -26,7 +26,14 @@ from subquad.errors import (
     SubquadError,
 )
 from subquad.geometry import SampleSet, detect_subspace, hat_sampleset
-from subquad.models import GradientFamily, fit_lfu, fit_mfn, fit_mn
+from subquad.models import (
+    GradientFamily,
+    QuadraticModel,
+    dense_reference,
+    fit_lfu,
+    fit_mfn,
+    fit_mn,
+)
 from subquad.simplex import DirectionBundle
 
 #: Reals at the edges of the writer's rules: signed zeros, integral floats
@@ -529,7 +536,10 @@ def _family_arrays(family):
 
 def _array_form(result):
     """``result`` as a model file written before lifts kept factors."""
-    return dataclasses.replace(result, hessian_factors=None)
+    model = result.model
+    return dataclasses.replace(
+        result, model=QuadraticModel(model.x0, model.c, model.g, model.H)
+    )
 
 
 class TestFactoredHessian:
@@ -544,7 +554,7 @@ class TestFactoredHessian:
         result, frame = _factored_lift(
             kind, n, d, tmp_path if source == "file" else None
         )
-        assert result.hessian_factors[0] is frame.Q
+        assert result.model.factored.basis is frame.Q
         path = tmp_path / "lift.json"
         io.save_model(str(path), result)
         written = path.read_text(encoding="utf-8")
@@ -560,7 +570,7 @@ class TestFactoredHessian:
             np.testing.assert_array_equal(_bits(got), _bits(want))
         assert loaded.gradients.dim == result.gradients.dim
         assert loaded.correction_applied == result.correction_applied
-        basis, core = loaded.hessian_factors
+        basis, core = loaded.model.factored.basis, loaded.model.factored.core
         np.testing.assert_array_equal(_bits(basis), _bits(frame.Q))
         assert core.shape == (d, d)
         if kind != "mn":  # one copy of Q serves "H" and the ambiguity
@@ -585,7 +595,7 @@ class TestFactoredHessian:
             encoding="utf-8",
         )
         loaded = io.load_model(str(path))
-        assert loaded.hessian_factors is None
+        assert loaded.model.factored is None
         np.testing.assert_array_equal(
             _bits(loaded.model.H), _bits(result.model.H)
         )
@@ -601,7 +611,7 @@ class TestFactoredHessian:
         results += [restrict(_factored_lift(kind, 40, 3)[0], frame)
                     for kind in ("mn", "mfn")]
         for result in results:
-            assert result.hessian_factors is None
+            assert result.model.factored is None
             assert isinstance(io.model_to_dict(result)["H"], np.ndarray)
 
     def test_reader_of_the_array_form_rejects_it(self):
@@ -651,6 +661,49 @@ class TestFactoredHessian:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFactoredBasis:
+    """The factored formulas assume ``Q^T Q = I``: a factored ``"H"``
+    whose basis is not orthonormal is rejected as the implicit ambiguity's
+    ``complement_of`` is, with ``DimensionMismatchError`` (exit code 2)."""
+
+    @pytest.mark.parametrize("kind", ["mn", "mfn", "lfu"])
+    def test_scaled_basis_is_rejected(self, tmp_path, capsys, kind):
+        result, frame = _factored_lift(kind, 6, 2)
+        path = tmp_path / "model.json"
+        io.save_model(str(path), result)
+        frame_path = tmp_path / "frame.json"
+        io.save_frame(str(frame_path), frame)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        scaled = 2.0 * np.asarray(doc["H"]["basis"])
+        _rewrite(path, "H", {**doc["H"], "basis": scaled.tolist()})
+        with pytest.raises(DimensionMismatchError,
+                           match="Hessian basis columns are not orthonormal"):
+            io.load_model(str(path))
+        out = tmp_path / "out.json"
+        assert main(["subspace", "restrict", "--model", str(path),
+                     "--frame", str(frame_path), "--out", str(out)]) == 2
+        assert "not orthonormal" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tolerance_is_the_ambiguity_forms(self, tmp_path):
+        """A defect inside ``ORTHONORMALITY_TOL`` loads; one outside it
+        raises."""
+        result, _ = _factored_lift("mn", 6, 2)
+        path = tmp_path / "model.json"
+        io.save_model(str(path), result)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        basis = np.asarray(doc["H"]["basis"])
+        for factor, loads in ((1 + 0.2 * linalg.ORTHONORMALITY_TOL, True),
+                              (1 + 2.0 * linalg.ORTHONORMALITY_TOL, False)):
+            _rewrite(path, "H", {**doc["H"],
+                                 "basis": (factor * basis).tolist()})
+            if loads:
+                io.load_model(str(path))
+            else:
+                with pytest.raises(DimensionMismatchError):
+                    io.load_model(str(path))
 
 
 def _lfu_pair(n, d, href_full, href_sub=None):
@@ -734,9 +787,11 @@ class TestDiagonalReference:
             want = io.load_reference_hessian(
                 sub_spec if key == "sub" else lift_spec, size
             )
+            # a lift holds the reference as its diagonal, a fit as an array
+            got = io.load_model(paths[key]).reference_hessian
+            assert got.ndim == (1 if key == "lift" else 2)
             np.testing.assert_array_equal(
-                _bits(io.load_model(paths[key]).reference_hessian),
-                _bits(want),
+                _bits(dense_reference(got)), _bits(want)
             )
 
     @pytest.mark.parametrize("entry", [-0.0, 1e-300, 2.5])
@@ -769,7 +824,7 @@ class TestDiagonalReference:
         assert isinstance(doc["href"], dict)
         assert doc["ambiguity_basis"]["complement_of"] == "basis"
         parent = {
-            **doc, "href": lift.reference_hessian,
+            **doc, "href": dense_reference(lift.reference_hessian),
             "ambiguity_basis": {
                 "lifted": lift.gradients.explicit,
                 "complement_of": lift.gradients.complement_of,
