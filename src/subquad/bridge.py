@@ -54,6 +54,7 @@ from .models import (
     ModelResult,
     QuadraticModel,
     dense_reference,
+    held_reference,
     reference_correction,
     restricted_reference,
 )
@@ -63,6 +64,10 @@ CORRECTION_TOL = 1e-12
 
 #: Tolerance for comparing a stored reference Hessian with ``Q^T Href Q``.
 REFERENCE_RTOL = 1e-10
+
+#: Length below which a gradient-ambiguity direction projected onto the
+#: frame counts as outside it: ``restrict`` drops it from the family.
+FAMILY_DROP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -253,27 +258,27 @@ def hat_directions(directions, frame: SubspaceFrame,
 
 
 def _restrict_family(family: GradientFamily, frame: SubspaceFrame,
-                     shift, drop_tol: float = 1e-12) -> GradientFamily:
+                     shift) -> GradientFamily:
     """``Q^T`` of the family, its canonical member moved by ``shift`` (the
     gradient change to the frame's anchor), keeping directions that
-    project above ``drop_tol``.
+    project above ``FAMILY_DROP_TOL``.
 
     A unit vector ``c`` of the implicit complement ``col(K)^perp``
     projects to at most ``||Q - K K^T Q||_F`` plus the rounding in
-    ``K^T c``. When that norm is at most ``drop_tol / 2`` and the family
-    has no explicit directions (every fit and lift of a spanning set),
-    all of the family would be dropped, so the complement is not built.
+    ``K^T c``. At most ``FAMILY_DROP_TOL / 2``, with no explicit
+    directions (every fit and lift of a spanning set), all of the family
+    would be dropped, so the complement is not built.
     """
     canonical = frame.Q.T @ (family.canonical + shift)
     kernel = family.complement_of
     if kernel is not None and not family.explicit.shape[1]:
         outside = np.linalg.norm(frame.Q - kernel @ (kernel.T @ frame.Q))
-        if outside <= 0.5 * drop_tol:
+        if outside <= 0.5 * FAMILY_DROP_TOL:
             return GradientFamily(canonical, np.zeros((frame.d, 0)))
     projected = frame.Q.T @ family.ambiguity_basis
     if projected.shape[1]:
         norms = np.linalg.norm(projected, axis=0)
-        projected = projected[:, norms > drop_tol]
+        projected = projected[:, norms > FAMILY_DROP_TOL]
     if projected.shape[1]:
         projected, _ = linalg.orthonormal_columns(projected)
     return GradientFamily(canonical, projected)
@@ -319,7 +324,8 @@ def restrict(obj, frame: SubspaceFrame):
         family = _restrict_family(obj.gradients, frame, shift)
         href = obj.reference_hessian
         if href is not None:
-            href = restricted_reference(href, frame.Q)
+            href = held_reference(restricted_reference(href, frame.Q),
+                                  frame.d)
         return ModelResult(model, family, obj.kind, reference_hessian=href)
     if isinstance(obj, QuadraticModel):
         return _restrict_model(obj, frame)[0]

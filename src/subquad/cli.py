@@ -99,7 +99,7 @@ def _cmd_fit(args) -> int:
         if args.kind == "dqi":
             result = models.fit_dqi(sample_set, rank_tol=args.rank_tol)
         elif args.kind == "lfu":
-            href = io.load_reference_hessian(args.href, sample_set.n)
+            href = io.load_reference(args.href, sample_set.n)
             result = models.fit_lfu(
                 sample_set, href, rank_tol=args.rank_tol, feas_tol=feas
             )

@@ -27,12 +27,10 @@ alone rejects the object form as not numeric. A lift's gradient ambiguity
 is the complement of that same ``Q``, so it is written ``"complement_of":
 "basis"``, a reference to ``H.basis``, and ``Q`` is written once.
 
-A reference Hessian held as the vector of its diagonal, or whose
-off-diagonal entries are all ``+0.0`` (the CLI's ``--href 0`` and ``I<n>``),
-is written ``"href": {"diagonal": v}``. A lift file's loads as ``v``, the
-form the lift held; any other model's as ``np.diag(v)``, the same bits.
-Any other ``href``, a ``-0.0`` off the diagonal included, is written as an
-array.
+A model's ``href`` is written in its :func:`~subquad.models.held_reference`
+form, ``{"diagonal": v}`` for the vector of its diagonal (``--href 0`` and
+``I<n>``) and an array otherwise, and loads through ``held_reference``
+again, so in the form it was written; an asymmetric one raises.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ from .models import (
     GradientFamily,
     ModelResult,
     QuadraticModel,
-    _is_diagonal,
-    dense_reference,
+    held_reference,
 )
 from .simplex import DirectionBundle
 
@@ -297,12 +294,8 @@ def model_to_dict(result: ModelResult, config: dict | None = None):
             "lifted": family.explicit, "complement_of": kernel,
         }
     href = result.reference_hessian
-    if href is not None and href.ndim == 1:
-        doc["href"] = {"diagonal": href}
-    elif href is not None:
-        doc["href"] = (
-            {"diagonal": np.diag(href)} if _is_diagonal(href) else href
-        )
+    if href is not None:
+        doc["href"] = {"diagonal": href} if href.ndim == 1 else href
     if result.correction_applied is not None:
         doc["correction_applied"] = bool(result.correction_applied)
     if config:
@@ -333,11 +326,12 @@ def load_model(path) -> ModelResult:
     if isinstance(hess, dict):
         hess = _factored_hessian(hess, kind, href, n, path)
         shape = (n, n)
-        href = hess.href if kind == "lfu" else href
     else:
         hess = _as_array(hess, "H", path)
         shape = hess.shape
-        href = None if href is None else dense_reference(href)
+    held = getattr(hess, "href", None)  # held by a factored Hessian
+    if href is not None:
+        href = held_reference(href, n) if held is None else held
     if x0.shape != (n,) or grad.shape != (n,) or shape != (n, n):
         raise FileFormatError(
             f"{path}: inconsistent model dimensions for n={n}"
@@ -486,17 +480,10 @@ def save_bundle(path, bundle: DirectionBundle, x0=None,
 # reference Hessians
 
 
-def load_reference_hessian(spec: str, n: int) -> np.ndarray:
-    """Resolve an ``--href`` argument: ``0``, ``I<k>``, or a file path.
-
-    The file form holds ``n`` and a symmetric matrix ``H``.
-    """
-    return dense_reference(load_reference(spec, n))
-
-
 def load_reference(spec: str, n: int) -> np.ndarray:
-    """:func:`load_reference_hessian` in the form a lift holds it: ``0``
-    and ``I<n>`` as the length-``n`` vector of their diagonal."""
+    """Resolve an ``--href`` argument: ``0`` and ``I<n>`` as the vector of
+    their diagonal, or a file of ``n`` and a symmetric matrix ``H`` as read
+    (the fit or lift checks it with ``held_reference``)."""
     text = str(spec).strip()
     if text == "0":
         return np.zeros(n)

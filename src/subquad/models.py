@@ -83,36 +83,52 @@ def lifted_hessian(basis: np.ndarray, core: np.ndarray,
     return linalg.sym_part(lifted)
 
 
-def _is_diagonal(mat: np.ndarray) -> bool:
-    """True when every off-diagonal entry of a square float array is
-    ``+0.0``, by its bits (a ``-0.0`` is not)."""
-    bits = np.ascontiguousarray(mat, dtype=np.float64).view(np.uint64)
-    return np.count_nonzero(bits) == np.count_nonzero(np.diagonal(bits))
+#: Largest asymmetry ``max |Href - Href^T|`` a reference Hessian may have,
+#: relative to ``max(1, max |Href|)``: rounding, not a meant asymmetry.
+SYMMETRY_RTOL = 1e-12
+
+#: Floats in one row block of a streamed pass over an ``n x n`` array.
+_BLOCK_FLOATS = 1 << 17
 
 
 def held_reference(href, n: int) -> np.ndarray:
-    """A full-space reference Hessian in the form a lift holds it.
-
-    A length-``n`` vector ``v`` stands for ``diag(v)`` and is kept. An
-    ``n x n`` array is replaced by its exactly symmetric part, and by the
-    vector of its diagonal when every off-diagonal entry is ``+0.0``.
+    """The form every fit, lift, restriction and file holds a reference
+    Hessian in. A length-``n`` vector ``v`` stands for ``diag(v)``. An
+    ``n x n`` array asymmetric beyond ``SYMMETRY_RTOL`` raises
+    :class:`NotSquareError`. One equal to its transpose by its bits is
+    copied, any other (a ``+0.0``/``-0.0`` mirror pair too) replaced by its
+    exactly symmetric part; either becomes the vector of its diagonal when
+    every off-diagonal entry is ``+0.0`` by its bits.
     """
     arr = np.asarray(href, dtype=float)
     if arr.ndim == 1:
-        vec = linalg.as_vector(arr, "reference Hessian diagonal")
-        if vec.shape != (n,):
-            raise DimensionMismatchError(
-                f"reference Hessian diagonal of length {vec.shape[0]} does "
-                f"not match the full dimension {n}"
+        mat = linalg.as_vector(arr, "reference Hessian diagonal")
+    else:
+        mat = linalg.as_matrix(arr, "reference Hessian")
+        if mat.shape[0] != mat.shape[1]:
+            raise NotSquareError(
+                f"reference Hessian must be square, got {mat.shape}"
             )
-        return vec
-    mat = linalg.sym_part(linalg.as_matrix(arr, "reference Hessian"))
-    if mat.shape != (n, n):
+    if mat.shape != (n,) * mat.ndim:
         raise DimensionMismatchError(
-            f"reference Hessian shape {mat.shape} does not match the "
+            f"reference Hessian of shape {mat.shape} does not match the "
             f"full dimension {n}"
         )
-    return np.diag(mat).copy() if _is_diagonal(mat) else mat
+    if mat.ndim == 1:
+        return mat
+    # equal to its transpose by bits, in cache-sized blocks from the diagonal
+    bits = np.ascontiguousarray(mat).view(np.uint64)
+    rows = max(1, _BLOCK_FLOATS // max(n, 1))
+    if not all(np.array_equal(bits[i:i + rows, i:], bits[i:, i:i + rows].T)
+               for i in range(0, n, rows)):
+        scale = max(1.0, float(np.max(np.abs(mat))))
+        if np.max(np.abs(mat - mat.T)) > SYMMETRY_RTOL * scale:
+            raise NotSquareError("reference Hessian must be symmetric")
+        mat = linalg.sym_part(mat)
+        bits = mat.view(np.uint64)
+    if np.count_nonzero(bits) == np.count_nonzero(np.diagonal(bits)):
+        return np.diag(mat).copy()
+    return mat.copy() if mat is arr else mat
 
 
 def dense_reference(href: np.ndarray) -> np.ndarray:
@@ -123,14 +139,11 @@ def dense_reference(href: np.ndarray) -> np.ndarray:
 
 def restricted_reference(href: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``sym_part(B^T Href B)`` for a reference held as an array or as the
-    vector of its diagonal; ``O(n k^2)`` for the vector."""
+    vector of its diagonal; ``O(n k^2)`` for the vector, whose C-ordered
+    left factor gives the bits of the array's."""
     if href.ndim == 1:
-        return linalg.sym_part((basis.T * href) @ basis)
+        return linalg.sym_part(np.ascontiguousarray(basis.T * href) @ basis)
     return linalg.sym_part(basis.T @ href @ basis)
-
-
-#: Floats in one row block of a streamed ``n x n`` Frobenius norm.
-_BLOCK_FLOATS = 1 << 17
 
 
 def _reference_gap(href: np.ndarray, basis: np.ndarray,
@@ -183,9 +196,7 @@ class FactoredHessian:
                 f"the {d} basis columns"
             )
         _require_orthonormal(basis, "Hessian basis")
-        href = self.href
-        if href is not None:
-            href = held_reference(href, n)
+        href = None if self.href is None else held_reference(self.href, n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "href", href)
@@ -409,11 +420,11 @@ def _require_orthonormal(basis: np.ndarray, name: str):
 class ModelResult:
     """A fitted model plus its gradient family and bookkeeping.
 
-    ``reference_hessian`` is set for least-change fits (an array) and lifts
-    (in its :func:`held_reference` form, the reference of the lift's
-    :class:`FactoredHessian`), ``sample_points`` for stencil-based fits (the
-    exact points consumed), and ``correction_applied`` by subspace lifts
-    that add a reference-Hessian correction term.
+    ``reference_hessian`` is set for least-change models, in its
+    :func:`held_reference` form (for lifts, their :class:`FactoredHessian`'s),
+    ``sample_points`` for stencil-based fits (the exact points consumed),
+    and ``correction_applied`` by subspace lifts that add a
+    reference-Hessian correction term.
     """
 
     model: QuadraticModel
@@ -539,14 +550,16 @@ def _solve_min_frobenius(displacements: np.ndarray, delta: np.ndarray,
 def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol,
                   dense: bool = False):
     """Smallest Hessian update from ``href`` (from zero when ``None``) that
-    meets the values less the reference quadratic's ``d_i^T Href d_i / 2``.
+    meets the values less the reference quadratic's ``d_i^T Href d_i / 2``;
+    ``href`` is in its :func:`held_reference` form.
     """
     disp = sample_set.displacements
     values = sample_set.values
     if href is None:
         delta = sample_set.delta
     else:
-        shift = 0.5 * ((disp @ href) * disp).sum(axis=1)
+        scaled = disp * href if href.ndim == 1 else disp @ href
+        shift = 0.5 * (scaled * disp).sum(axis=1)
         delta = (values[1:] - shift) - values[0]
     m, n = disp.shape
     span_basis, alpha, hess = _solve_in_span(
@@ -554,7 +567,7 @@ def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol,
         dense,
     )
     if href is not None:
-        hess = href + hess  # a sum of exactly symmetric matrices
+        hess = dense_reference(href) + hess  # both exactly symmetric
     model = QuadraticModel(sample_set.x0, values[0], alpha, hess)
     _require_interpolates(sample_set, model, feas_tol)
     family = GradientFamily(alpha, np.zeros((n, 0)), span_basis)
@@ -580,29 +593,17 @@ def fit_lfu(sample_set: SampleSet, href,
 
     Reduces exactly to the minimum-Frobenius fit of the value differences
     left after the reference quadratic's contribution; with ``href = 0``
-    it is :func:`fit_mfn`.
+    it is :func:`fit_mfn`. ``href`` may be the vector of its diagonal.
     """
-    href = linalg.as_matrix(href, "reference Hessian")
-    n = sample_set.n
-    if href.shape[0] != href.shape[1]:
-        raise NotSquareError(
-            f"reference Hessian must be square, got {href.shape}"
-        )
-    if href.shape != (n, n):
-        raise DimensionMismatchError(
-            f"reference Hessian shape {href.shape} does not match "
-            f"dimension {n}"
-        )
-    if np.max(np.abs(href - href.T)) > 1e-12 * max(1.0, np.max(np.abs(href))):
-        raise NotSquareError("reference Hessian must be symmetric")
-    return _least_change(sample_set, linalg.sym_part(href), rank_tol, feas_tol)
+    href = held_reference(href, sample_set.n)
+    return _least_change(sample_set, href, rank_tol, feas_tol)
 
 
 def _reference_fit(kind: str, sample_set: SampleSet, href=None,
                    rank_tol: float | None = None,
                    feas_tol: float = FEASIBILITY_RTOL) -> ModelResult:
-    """``fit_mn``, ``fit_mfn`` or ``fit_lfu`` (with a symmetric ``href``)
-    solved on the dense ``n``-dimensional system.
+    """``fit_mn``, ``fit_mfn`` or ``fit_lfu`` (with ``href`` as
+    :func:`fit_lfu` takes it) solved on the dense ``n``-dimensional system.
 
     The span route falls back to this solve, and the verification harness
     checks the span route against it.
@@ -612,5 +613,5 @@ def _reference_fit(kind: str, sample_set: SampleSet, href=None,
         result = _stacked_model(sample_set, alpha, hess, "mn")
         _require_interpolates(sample_set, result.model, feas_tol)
         return result
-    href = None if kind == "mfn" else linalg.sym_part(href)
+    href = None if kind == "mfn" else held_reference(href, sample_set.n)
     return _least_change(sample_set, href, rank_tol, feas_tol, dense=True)

@@ -112,14 +112,11 @@ class TestFileRoundTrips:
         np.testing.assert_array_equal(x0, np.ones(4))
 
     def test_reference_hessian_shorthand(self, tmp_path):
-        np.testing.assert_array_equal(
-            io.load_reference_hessian("0", 3), np.zeros((3, 3))
-        )
-        np.testing.assert_array_equal(
-            io.load_reference_hessian("I3", 3), np.eye(3)
-        )
+        # ``0`` and ``I<n>`` resolve to the vector of their diagonal
+        np.testing.assert_array_equal(io.load_reference("0", 3), np.zeros(3))
+        np.testing.assert_array_equal(io.load_reference("I3", 3), np.ones(3))
         with pytest.raises(FileFormatError):
-            io.load_reference_hessian("I4", 3)
+            io.load_reference("I4", 3)
 
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ the promise that a save/load round trip is bit-exact.
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,16 +24,20 @@ from subquad.cli import main
 from subquad.errors import (
     DimensionMismatchError,
     FileFormatError,
+    NotSquareError,
     SubquadError,
 )
 from subquad.geometry import SampleSet, detect_subspace, hat_sampleset
 from subquad.models import (
+    FactoredHessian,
     GradientFamily,
     QuadraticModel,
+    _reference_fit,
     dense_reference,
     fit_lfu,
     fit_mfn,
     fit_mn,
+    restricted_reference,
 )
 from subquad.simplex import DirectionBundle
 
@@ -252,7 +257,7 @@ def _valid_documents(tmp_path):
     files["bundle"] = (path, io.load_bundle)
     path = tmp_path / "href.json"
     path.write_text(json.dumps({"n": 3, "H": np.eye(3).tolist()}))
-    files["href"] = (path, lambda p: io.load_reference_hessian(p, 3))
+    files["href"] = (path, lambda p: io.load_reference(p, 3))
     return files
 
 
@@ -743,8 +748,9 @@ def _assert_same_model(loaded, result):
 
 
 class TestDiagonalReference:
-    """A reference Hessian with ``+0.0`` off the diagonal is written
-    ``{"diagonal": v}`` and loads as ``np.diag(v)``, bit for bit."""
+    """A reference Hessian with ``+0.0`` off the diagonal is held as the
+    vector ``v`` of its diagonal, written ``{"diagonal": v}`` and loaded
+    as ``v``, bit for bit."""
 
     @pytest.mark.parametrize("n,d", [(100, 2), (300, 6)])
     @pytest.mark.parametrize("spec", ["I", "0", "random"])
@@ -784,15 +790,13 @@ class TestDiagonalReference:
         for key, size in (("sub", frame.d), ("lift", 40)):
             doc = io.read_document(paths[key])
             assert len(doc["href"]["diagonal"]) == size
-            want = io.load_reference_hessian(
+            want = io.load_reference(
                 sub_spec if key == "sub" else lift_spec, size
             )
-            # a lift holds the reference as its diagonal, a fit as an array
+            # a fit and a lift both load the reference as its diagonal
             got = io.load_model(paths[key]).reference_hessian
-            assert got.ndim == (1 if key == "lift" else 2)
-            np.testing.assert_array_equal(
-                _bits(dense_reference(got)), _bits(want)
-            )
+            assert got.ndim == 1
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("entry", [-0.0, 1e-300, 2.5])
     def test_any_other_off_diagonal_keeps_the_array_form(self, tmp_path,
@@ -812,7 +816,7 @@ class TestDiagonalReference:
             (6, 6)))
         path.write_text(json.dumps({"n": 6, "H": dense.tolist()}))
         full, _ = _subspace_instance(6, 6)
-        fitted = fit_lfu(full, io.load_reference_hessian(str(path), 6))
+        fitted = fit_lfu(full, io.load_reference(str(path), 6))
         assert isinstance(io.model_to_dict(fitted)["href"], np.ndarray)
         _, lift, frame = _lfu_pair(40, 3, np.eye(40), np.eye(3))
         restricted = restrict(lift, frame)
@@ -831,6 +835,93 @@ class TestDiagonalReference:
             },
         }
         assert len(io.dumps(doc)) <= 0.15 * len(reference_dumps(parent))
+
+
+def _asymmetric_identity(n):
+    """An asymmetric reference: the identity with one extra off-diagonal
+    entry of 0.5."""
+    href = np.eye(n)
+    href[0, 1] = 0.5
+    return href
+
+
+def _dumped(result):
+    return io.dumps(io.model_to_dict(result))
+
+
+class TestOneReferenceForm:
+    """Every reference Hessian enters through ``held_reference``: an
+    asymmetric one raises ``NotSquareError`` wherever it enters, and a
+    diagonal given as ``v`` or as ``np.diag(v)`` gives the same bytes on
+    every path."""
+
+    def test_asymmetric_reference_raises_everywhere(self, tmp_path):
+        """The subspace fit uses ``Q^T sym(Href) Q``, so only the
+        asymmetry can stop the lift."""
+        n, d = 6, 2
+        asym = _asymmetric_identity(n)
+        sub, lift, frame = _lfu_pair(n, d, linalg.sym_part(asym))
+        with pytest.raises(NotSquareError):
+            fit_lfu(_subspace_instance(n, d)[0], asym)
+        with pytest.raises(NotSquareError):
+            lift_lfu(sub, frame, asym)
+        with pytest.raises(NotSquareError):
+            FactoredHessian(frame.Q, sub.model.H, asym)
+        path = tmp_path / "lift.json"
+        io.save_model(str(path), lift)
+        _rewrite(path, "href", asym.tolist())
+        with pytest.raises(NotSquareError):
+            io.load_model(str(path))
+
+    def test_cli_fit_and_lift_exit_2(self, tmp_path, capsys):
+        n, d = 6, 2
+        asym = _asymmetric_identity(n)
+        sub, _, frame = _lfu_pair(n, d, linalg.sym_part(asym))
+        paths = {key: str(tmp_path / f"{key}.json")
+                 for key in ("full", "frame", "sub", "href", "out")}
+        io.save_sampleset(paths["full"], _subspace_instance(n, d)[0])
+        io.save_frame(paths["frame"], frame)
+        io.save_model(paths["sub"], sub)
+        io.write_document(paths["href"], {"n": n, "H": asym})
+        for argv in (
+            ["fit", "--kind", "lfu", "--in", paths["full"]],
+            ["subspace", "lift", "--model", paths["sub"],
+             "--frame", paths["frame"]],
+        ):
+            capsys.readouterr()
+            assert main(argv + ["--out", paths["out"],
+                                "--href", paths["href"]]) == 2
+            assert "NotSquareError" in capsys.readouterr().err
+            assert not os.path.exists(paths["out"])
+
+    def test_vector_and_array_give_the_same_files(self, tmp_path):
+        n, d = 30, 3
+        full, _ = _subspace_instance(n, d)
+        frame = detect_subspace(full)
+        v = np.random.default_rng(7).standard_normal(n)
+        sub = fit_lfu(hat_sampleset(full, frame),
+                      restricted_reference(v, frame.Q))
+        results = {}
+        for form, href in (("vector", v), ("array", np.diag(v))):
+            fitted = fit_lfu(full, href)
+            lift = lift_lfu(sub, frame, href)
+            results[form] = {
+                "fit": fitted,
+                "reference fit": _reference_fit("lfu", full, href),
+                "lift": lift,
+                "restricted fit": restrict(fitted, frame),
+                "restricted lift": restrict(lift, frame),
+            }
+        for key, result in results["vector"].items():
+            text = _dumped(result)
+            assert text == _dumped(results["array"][key]), key
+            # full-space models hold the diagonal, restrictions Q^T Href Q
+            assert ('"diagonal"' in text) == ("restricted" not in key)
+            path = tmp_path / "model.json"
+            io.save_model(str(path), result)
+            loaded = io.load_model(str(path))
+            assert _dumped(loaded) == text, key
+            _assert_same_model(loaded, result)
 
 
 class TestSharedBasis:

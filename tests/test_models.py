@@ -32,6 +32,7 @@ from subquad import geometry, linalg
 from subquad.errors import (
     DimensionMismatchError,
     InfeasibleError,
+    NonFiniteError,
     NotPoisedError,
     NotSquareError,
 )
@@ -42,15 +43,19 @@ from subquad.geometry import (
     quadratic_constraint_matrix,
 )
 from subquad.models import (
+    SYMMETRY_RTOL,
     GradientFamily,
     QuadraticModel,
+    _least_change,
     _reference_fit,
     evaluate,
     fit_dqi,
     fit_lfu,
     fit_mfn,
     fit_mn,
+    held_reference,
     member,
+    restricted_reference,
 )
 
 
@@ -397,13 +402,106 @@ class TestLeastChange:
             fit_lfu(square, np.ones((3, 2)))
         with pytest.raises(DimensionMismatchError):
             fit_lfu(square, np.eye(2))
+        with pytest.raises(DimensionMismatchError):
+            fit_lfu(square, np.ones(2))
+        with pytest.raises(NonFiniteError):
+            fit_lfu(square, np.diag([1.0, np.inf, 1.0]))
         with pytest.raises(NotSquareError):
             fit_lfu(square, np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0.0]]))
 
     def test_reference_hessian_recorded(self, square):
+        # held as the vector of its diagonal, as lifts and files hold it
         result = fit_lfu(square, np.eye(3))
-        np.testing.assert_array_equal(result.reference_hessian, np.eye(3))
+        np.testing.assert_array_equal(result.reference_hessian, np.ones(3))
         assert result.kind == "lfu"
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
+
+class TestHeldReference:
+    """``held_reference`` is the one entry of a reference Hessian: finite,
+    square, of the full dimension and symmetric to ``SYMMETRY_RTOL``;
+    held as a private copy, its exactly symmetric part, or the vector of
+    its diagonal."""
+
+    def test_exactly_symmetric_is_a_private_copy(self, rng):
+        href = linalg.sym_part(rng.standard_normal((5, 5)))
+        held = held_reference(href, 5)
+        assert held is not href and not np.shares_memory(held, href)
+        np.testing.assert_array_equal(_bits(held), _bits(href))
+
+    def test_nearly_symmetric_is_symmetrized(self, rng):
+        href = linalg.sym_part(rng.standard_normal((5, 5)))
+        href[0, 1] += 1e-14
+        held = held_reference(href, 5)
+        np.testing.assert_array_equal(_bits(held), _bits(held.T))
+        np.testing.assert_array_equal(_bits(held),
+                                      _bits(linalg.sym_part(href)))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_asymmetry_beyond_the_rule_raises(self, scale):
+        href = scale * np.eye(4)
+        href[0, 2] = 2 * SYMMETRY_RTOL * max(1.0, scale)
+        with pytest.raises(NotSquareError, match="symmetric"):
+            held_reference(href, 4)
+        href[0, 2] = 0.5 * SYMMETRY_RTOL * max(1.0, scale)
+        held_reference(href, 4)
+
+    def test_signed_zero_mirror_pair_is_held_as_today(self, rng):
+        """``+0.0`` above and ``-0.0`` below is symmetrized to ``+0.0``,
+        so an identity with such a pair is held as its diagonal; a pair of
+        ``-0.0`` is exactly symmetric and keeps the array form."""
+        href = np.eye(4)
+        href[1, 3], href[3, 1] = 0.0, -0.0
+        np.testing.assert_array_equal(_bits(held_reference(href, 4)),
+                                      _bits(np.ones(4)))
+        dense = linalg.sym_part(rng.standard_normal((4, 4)))
+        dense[1, 3], dense[3, 1] = 0.0, -0.0
+        held = held_reference(dense, 4)
+        assert held.shape == (4, 4)
+        np.testing.assert_array_equal(_bits(held),
+                                      _bits(linalg.sym_part(dense)))
+        href[3, 1] = -0.0
+        href[1, 3] = -0.0
+        held = held_reference(href, 4)
+        assert held.shape == (4, 4)
+        np.testing.assert_array_equal(_bits(held), _bits(href))
+
+    @pytest.mark.parametrize("n", [7, 40])
+    def test_fit_takes_either_form(self, rng, n):
+        """``fit_lfu`` and ``_reference_fit`` give one model, bit for bit,
+        whether the diagonal reference is a vector or an array, and the
+        model of the dense products with the array itself."""
+        m = 5
+        ss = SampleSet(rng.standard_normal(n), rng.standard_normal((m, n)),
+                       rng.standard_normal(m + 1))
+        v = rng.standard_normal(n)
+        dense = _least_change(ss, np.diag(v), None, FEASIBILITY_RTOL)
+        for fit in (fit_lfu, lambda s, h: _reference_fit("lfu", s, h)):
+            a, b = fit(ss, v), fit(ss, np.diag(v))
+            for got, want in ((a.model.H, b.model.H), (a.model.g, b.model.g),
+                              (a.reference_hessian, b.reference_hessian)):
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+            np.testing.assert_array_equal(_bits(a.reference_hessian),
+                                          _bits(v))
+        a = fit_lfu(ss, v)
+        for got, want in ((a.model.H, dense.model.H),
+                          (a.model.g, dense.model.g)):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_restricted_vector_has_the_array_bits(self, rng):
+        """``B^T diag(v) B`` from the vector has the array's bits."""
+        for _ in range(300):
+            n = int(rng.integers(1, 121))
+            k = int(rng.integers(1, min(n, 7) + 1))
+            basis, _ = np.linalg.qr(rng.standard_normal((n, k)))
+            v = rng.standard_normal(n)
+            np.testing.assert_array_equal(
+                _bits(restricted_reference(v, basis)),
+                _bits(restricted_reference(np.diag(v), basis)),
+            )
 
 
 def test_model_results_expose_kind(square):
