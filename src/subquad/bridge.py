@@ -14,12 +14,13 @@ subspace) the fitted objects convert as
   the stencil directions lie in ``col(Q)``.
 
 A lift's Hessian is a :class:`~subquad.models.FactoredHessian` ``(Q, Hhat,
-Href)``: the lifts, ``restrict`` and ``coincidence_check`` work on those
-factors in ``O(n d^2)`` per vector (a Frobenius gap adds one ``O(n^2 d)``
-pass in row blocks when there is an ``Href``), and ``model.H`` materializes
-the ``n x n`` array only when it is read. A model whose Hessian is an array
-keeps the dense expressions. ``Href`` may be held as the vector of its
-diagonal, as ``--href 0`` and ``I<n>`` are.
+Href)``, and ``Href`` may be held as the vector of its diagonal, as
+``--href 0`` and ``I<n>`` are. ``restrict`` and ``coincidence_check`` read a
+model's Hessian only through the operations of
+:class:`~subquad.models.QuadraticModel` (values at a set of points,
+``sym(H) x``, ``B^T H B`` and Frobenius distances), so they never ask how
+it is held; for a lift those cost ``O(n d^2)`` per vector and never build
+the ``n x n`` array.
 
 A subspace model anchored at ``xhat0`` lifts to a model anchored at
 ``x0 + Q xhat0``, and ``restrict`` re-anchors a full-space model at the
@@ -54,8 +55,6 @@ from .models import (
     ModelResult,
     QuadraticModel,
     dense_reference,
-    held_reference,
-    reference_correction,
     restricted_reference,
 )
 
@@ -293,17 +292,10 @@ def _restrict_model(model: QuadraticModel, frame: SubspaceFrame):
             f"model dimension {model.n} does not match frame "
             f"dimension {frame.n}"
         )
-    step = frame.x0 - model.x0
-    factored = model.factored
-    if factored is not None:
-        shift = factored.dot(step)
-        hess = factored.project(frame.Q)
-    else:
-        shift = 0.5 * (model.H @ step + step @ model.H)
-        hess = frame.Q.T @ model.H @ frame.Q
+    shift = model.sym_dot(frame.x0 - model.x0)
     restricted = QuadraticModel(
         np.zeros(frame.d), model(frame.x0), frame.Q.T @ (model.g + shift),
-        hess,
+        model.project(frame.Q),
     )
     return restricted, shift
 
@@ -324,8 +316,7 @@ def restrict(obj, frame: SubspaceFrame):
         family = _restrict_family(obj.gradients, frame, shift)
         href = obj.reference_hessian
         if href is not None:
-            href = held_reference(restricted_reference(href, frame.Q),
-                                  frame.d)
+            href = restricted_reference(href, frame.Q)
         return ModelResult(model, family, obj.kind, reference_hessian=href)
     if isinstance(obj, QuadraticModel):
         return _restrict_model(obj, frame)[0]
@@ -351,17 +342,6 @@ def _unwrap_model(obj) -> QuadraticModel:
     return obj.model if isinstance(obj, ModelResult) else obj
 
 
-def _row_values(model: QuadraticModel, points: np.ndarray) -> np.ndarray:
-    """The model's values at the rows of ``points``, in one product."""
-    steps = points - model.x0
-    factored = model.factored
-    if factored is not None:
-        curvature = factored.curvature(steps)
-    else:
-        curvature = np.sum((steps @ model.H.T) * steps, axis=1)
-    return model.c + steps @ model.g + 0.5 * curvature
-
-
 def coincidence_check(full, sub, frame: SubspaceFrame,
                       probes: int = 16, seed: int = 0) -> ConversionReport:
     """Measure where a full-space and a subspace model (dis)agree.
@@ -375,10 +355,11 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
     Deterministic for a given seed.
 
     Every probe comes from one ``(probes, d + n - d)`` draw, the stream
-    of a per-probe ``d``-then-``(n - d)`` draw. The subspace, on-subspace
-    and off-subspace values and the unit complement steps each take one
-    matrix product, each relative to its own model's ``x0``. A probe
-    value that is not finite raises :class:`NonFiniteError`.
+    of a per-probe ``d``-then-``(n - d)`` draw. The subspace, on-subspace,
+    off-subspace and unit complement probes are each one row set valued by
+    :meth:`~subquad.models.QuadraticModel.values`, and the three Frobenius
+    gaps come from one ``distances`` call. A probe value that is not
+    finite raises :class:`NonFiniteError`.
     """
     full_model = _unwrap_model(full)
     sub_model = _unwrap_model(sub)
@@ -402,30 +383,18 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
     draws = probe_scale * rng.standard_normal((count, frame.d + n_comp))
     xhat, coeffs = draws[:, :frame.d], draws[:, frame.d:]
     on_subspace = frame.x0 + xhat @ frame.Q.T
-    # full_model at x0 + complement[:, j], every column in one product
-    steps = (frame.x0[:, None] + complement) - full_model.x0[:, None]
-    factored = full_model.factored
     with np.errstate(over="ignore", invalid="ignore"):
-        # the subspace model at every probe and, last, at the origin
-        sub_values = _row_values(
-            sub_model, np.vstack([xhat, np.zeros(frame.d)])
-        )
-        on_values = _row_values(full_model, on_subspace)
-        off_values = _row_values(
-            full_model, on_subspace + coeffs @ complement.T
-        )
-        if factored is not None:
-            curvature = factored.curvature(steps.T)
-        else:
-            curvature = np.sum((full_model.H @ steps) * steps, axis=0)
-        comp_values = full_model.c + full_model.g @ steps + 0.5 * curvature
-        values = (sub_values, on_values, off_values, comp_values)
+        sub_values = sub_model.values(xhat)
+        base_value = sub_model(np.zeros(frame.d))
+        on_values = full_model.values(on_subspace)
+        off_values = full_model.values(on_subspace + coeffs @ complement.T)
+        comp_values = full_model.values(frame.x0 + complement.T)
+        values = (sub_values, base_value, on_values, off_values, comp_values)
         if not all(np.isfinite(part).all() for part in values):
             raise NonFiniteError(
                 "a probe value is not finite, so the value gaps are "
                 "undefined"
             )
-        sub_values, base_value = sub_values[:-1], sub_values[-1]
         value_scale = float(np.max(np.abs(sub_values), initial=1.0))
         sub_gap = float(np.max(np.abs(on_values - sub_values), initial=0.0))
         comp_gaps = np.abs(comp_values - base_value)
@@ -435,24 +404,15 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
         )) if n_comp else sub_gap
 
     lifted_g = frame.Q @ sub_model.g
-    if factored is not None:
-        hessian_gap, correction, scale = factored.distances(frame.Q, (
-            sub_model.H, factored.project(frame.Q), np.zeros((frame.d,) * 2)
-        ))
-        correction_applied = _correction_counts(correction, scale)
-    else:
-        lifted_h = frame.Q @ sub_model.H @ frame.Q.T
-        hessian_gap = np.linalg.norm(full_model.H - lifted_h)
-        correction_applied = _correction_counts(
-            np.linalg.norm(reference_correction(full_model.H, frame.Q)),
-            np.linalg.norm(full_model.H),
-        )
+    hessian_gap, correction, scale = full_model.distances(frame.Q, (
+        sub_model.H, full_model.project(frame.Q), np.zeros((frame.d,) * 2)
+    ))
     return ConversionReport(
         gradient_gap=float(np.linalg.norm(full_model.g - lifted_g)),
-        hessian_gap=float(hessian_gap),
+        hessian_gap=hessian_gap,
         subspace_value_gap=sub_gap,
         orthogonal_value_gap=orth_gap,
-        correction_applied=correction_applied,
+        correction_applied=_correction_counts(correction, scale),
         complement_probe_gaps=tuple(comp_gaps.tolist()),
         value_scale=value_scale,
         probe_scale=probe_scale,

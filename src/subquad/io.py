@@ -19,7 +19,7 @@ Hessian as a :class:`~subquad.models.FactoredHessian` and writes it as the
 factors, ``{"lifted": Hhat, "basis": Q}`` with ``Q`` of ``d`` columns, in
 place of the ``n x n`` matrix. The loader keeps it factored, with the
 file's ``href`` as the reference of least-change models, and never builds
-the array: ``model.H`` materializes it on first read, with the lift's bits.
+the array: ``model.H`` materializes ``sym(Q M Q^T) + Href`` on first read.
 ``Q`` must have orthonormal columns to ``ORTHONORMALITY_TOL``, as the
 implicit ambiguity's ``complement_of`` must. Fits, restrictions and
 ``d``-dimensional models write ``H`` as an array, and a reader of that form
@@ -29,7 +29,7 @@ is the complement of that same ``Q``, so it is written ``"complement_of":
 
 A model's ``href`` is written in its :func:`~subquad.models.held_reference`
 form, ``{"diagonal": v}`` for the vector of its diagonal (``--href 0`` and
-``I<n>``) and an array otherwise, and loads through ``held_reference``
+``I<n>``) and an array otherwise, and the loaded ``ModelResult`` holds it
 again, so in the form it was written; an asymmetric one raises.
 """
 
@@ -47,7 +47,6 @@ from .models import (
     GradientFamily,
     ModelResult,
     QuadraticModel,
-    held_reference,
 )
 from .simplex import DirectionBundle
 
@@ -329,9 +328,8 @@ def load_model(path) -> ModelResult:
     else:
         hess = _as_array(hess, "H", path)
         shape = hess.shape
-    held = getattr(hess, "href", None)  # held by a factored Hessian
-    if href is not None:
-        href = held_reference(href, n) if held is None else held
+    if getattr(hess, "href", None) is not None:
+        href = hess.href  # held by the factored Hessian already
     if x0.shape != (n,) or grad.shape != (n,) or shape != (n, n):
         raise FileFormatError(
             f"{path}: inconsistent model dimensions for n={n}"

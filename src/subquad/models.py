@@ -36,9 +36,9 @@ one of the caller's values by more than ``feas_tol * max(1, max |values|)``.
 
 A :class:`QuadraticModel` holds its Hessian as an ``n x n`` array (every fit
 returns one) or as a :class:`FactoredHessian` ``(Q, Hhat, Href)`` (every
-subspace lift and every lift file loaded). Values, products with ``H``,
-restrictions and Frobenius gaps of a factored Hessian are taken from its
-factors; ``model.H`` materializes the array on first read and keeps it.
+subspace lift and every lift file loaded), and only its own operations
+(values, ``s^T H s``, ``sym(H) x``, ``B^T H B``, ``||H - B A B^T||_F``) ask
+which; ``model.H`` materializes the array on first read and keeps it.
 """
 
 from __future__ import annotations
@@ -63,24 +63,6 @@ from .geometry import (
     _poised_factors,
     _solve_in_span,
 )
-
-
-def reference_correction(href: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``Href - P Href P`` with ``P = Q Q^T``, formed through ``Q``."""
-    return href - basis @ (basis.T @ href @ basis) @ basis.T
-
-
-def lifted_hessian(basis: np.ndarray, core: np.ndarray,
-                   correction: np.ndarray | None = None) -> np.ndarray:
-    """The lifted Hessian ``sym_part(Q Hhat Q^T [+ correction])``.
-
-    :meth:`FactoredHessian.dense` builds every lift's array here, with
-    ``reference_correction(Href, Q)`` for least-change lifts.
-    """
-    lifted = basis @ core @ basis.T
-    if correction is not None:
-        lifted = lifted + correction
-    return linalg.sym_part(lifted)
 
 
 #: Largest asymmetry ``max |Href - Href^T|`` a reference Hessian may have,
@@ -168,18 +150,18 @@ def _reference_gap(href: np.ndarray, basis: np.ndarray,
 
 @dataclass(frozen=True)
 class FactoredHessian:
-    """The Hessian ``sym(Q Hhat Q^T + Href - Q (Q^T Href Q) Q^T)`` held as
-    its factors ``(Q, Hhat, Href)``, as a subspace lift builds it.
+    """The Hessian ``Q Hhat Q^T + Href - Q (Q^T Href Q) Q^T`` held as its
+    factors ``(Q, Hhat, Href)``, as a subspace lift builds it.
 
     ``basis`` is ``Q`` (``n x d``, orthonormal columns to
     ``ORTHONORMALITY_TOL``), ``core`` the ``d x d`` subspace Hessian and
     ``href`` the least-change reference in its :func:`held_reference` form,
-    or ``None`` for no correction. With ``M = sym(Hhat) - sym(Q^T Href Q)``
-    the Hessian is ``Q M Q^T + Href``, so a product with a vector costs
-    ``O(n d)`` plus the reference's own product, and a Frobenius gap
-    ``O(n d^2)`` plus, with ``Href``, one ``O(n^2 d)`` pass in row blocks;
-    no ``n x n`` array is formed. :meth:`dense` builds the array with
-    :func:`lifted_hessian`.
+    or ``None`` for no correction. Every operation reads the one
+    expression ``H = Q M Q^T + Href`` with ``M = sym(Hhat) - sym(Q^T Href
+    Q)``: a product with a vector costs ``O(n d)`` plus the reference's own
+    product, a Frobenius gap ``O(n d^2)`` plus, with ``Href``, one
+    ``O(n^2 d)`` pass in row blocks, and only :meth:`dense` forms the
+    ``n x n`` array.
     """
 
     basis: np.ndarray
@@ -221,12 +203,11 @@ class FactoredHessian:
         return middle
 
     def dense(self) -> np.ndarray:
-        """The ``n x n`` array, with the bits a lift has always built."""
-        correction = None
-        if self.href is not None:
-            correction = reference_correction(dense_reference(self.href),
-                                              self.basis)
-        return lifted_hessian(self.basis, self.core, correction)
+        """The ``n x n`` array ``sym(Q M Q^T) + Href``."""
+        lifted = linalg.sym_part(self.basis @ self.middle @ self.basis.T)
+        if self.href is None:
+            return lifted
+        return lifted + dense_reference(self.href)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """``H @ x`` for a vector ``x``."""
@@ -342,6 +323,37 @@ class QuadraticModel:
     def __call__(self, x) -> float:
         return evaluate(self, x)
 
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """The model's values at the rows of ``points``."""
+        steps = points - self.x0
+        return self.c + steps @ self.g + 0.5 * self.curvature(steps)
+
+    def curvature(self, steps: np.ndarray) -> np.ndarray:
+        """``s^T H s`` for every row ``s`` of ``steps``."""
+        if self.factored is not None:
+            return self.factored.curvature(steps)
+        return np.sum((steps @ self.H.T) * steps, axis=1)
+
+    def sym_dot(self, x: np.ndarray) -> np.ndarray:
+        """``sym(H) x`` for a vector ``x``."""
+        if self.factored is not None:
+            return self.factored.dot(x)
+        return 0.5 * (self.H @ x + x @ self.H)
+
+    def project(self, basis: np.ndarray) -> np.ndarray:
+        """``B^T H B`` for an ``n x k`` basis ``B``."""
+        if self.factored is not None:
+            return self.factored.project(basis)
+        return basis.T @ self.H @ basis
+
+    def distances(self, basis: np.ndarray, cores) -> list:
+        """``||H - B A B^T||_F`` for an ``n x k`` ``B`` and each ``k x k``
+        ``A`` in ``cores``."""
+        if self.factored is not None:
+            return self.factored.distances(basis, cores)
+        return [float(np.linalg.norm(self.H - basis @ core @ basis.T))
+                for core in cores]
+
 
 @dataclass(frozen=True)
 class GradientFamily:
@@ -420,11 +432,11 @@ def _require_orthonormal(basis: np.ndarray, name: str):
 class ModelResult:
     """A fitted model plus its gradient family and bookkeeping.
 
-    ``reference_hessian`` is set for least-change models, in its
-    :func:`held_reference` form (for lifts, their :class:`FactoredHessian`'s),
-    ``sample_points`` for stencil-based fits (the exact points consumed),
-    and ``correction_applied`` by subspace lifts that add a
-    reference-Hessian correction term.
+    ``reference_hessian`` is set for least-change models, held in its
+    :func:`held_reference` form (checked here, unless it is the model's own
+    :class:`FactoredHessian`'s), ``sample_points`` for stencil-based fits
+    (the exact points consumed), and ``correction_applied`` by subspace
+    lifts that add a reference-Hessian correction term.
     """
 
     model: QuadraticModel
@@ -434,6 +446,13 @@ class ModelResult:
     sample_points: np.ndarray | None = None
     correction_applied: bool | None = None
 
+    def __post_init__(self):
+        href = self.reference_hessian
+        if href is not None and href is not getattr(self.model.factored,
+                                                    "href", None):
+            object.__setattr__(self, "reference_hessian",
+                               held_reference(href, self.n))
+
     @property
     def n(self) -> int:
         return self.model.n
@@ -441,17 +460,14 @@ class ModelResult:
 
 def evaluate(model: QuadraticModel, x) -> float:
     """Value of the quadratic model at ``x``."""
-    step = np.asarray(x, dtype=float) - model.x0
-    if step.shape != model.x0.shape:
+    try:  # a scalar, say, stands for the point of that value in every entry
+        point = np.broadcast_to(np.asarray(x, dtype=float), model.x0.shape)
+    except ValueError:
         raise DimensionMismatchError(
             f"point of shape {np.shape(x)} does not match model "
             f"dimension {model.n}"
-        )
-    factored = model.factored
-    if factored is not None:
-        curvature = factored.curvature(step[None, :])[0]
-        return float(model.c + model.g @ step + 0.5 * curvature)
-    return float(model.c + model.g @ step + 0.5 * step @ (model.H @ step))
+        ) from None
+    return float(model.values(point[None, :])[0])
 
 
 def member(gradients: GradientFamily, coeffs) -> np.ndarray:
@@ -571,8 +587,10 @@ def _least_change(sample_set: SampleSet, href, rank_tol, feas_tol,
     model = QuadraticModel(sample_set.x0, values[0], alpha, hess)
     _require_interpolates(sample_set, model, feas_tol)
     family = GradientFamily(alpha, np.zeros((n, 0)), span_basis)
-    kind = "mfn" if href is None else "lfu"
-    return ModelResult(model, family, kind, reference_hessian=href)
+    result = ModelResult(model, family, "mfn" if href is None else "lfu")
+    # the caller has held href already, so it is not checked a second time
+    object.__setattr__(result, "reference_hessian", href)
+    return result
 
 
 def fit_mfn(sample_set: SampleSet,

@@ -21,6 +21,7 @@ from subquad.bridge import (
     restrict,
 )
 from subquad.errors import (
+    DimensionMismatchError,
     NonFiniteError,
     NotInSubspaceError,
     ReferenceMismatchError,
@@ -705,3 +706,32 @@ class TestAnchors:
         np.testing.assert_array_equal(
             back.model.H, frame.Q.T @ direct.model.H @ frame.Q
         )
+
+
+def _zero_model(n):
+    return QuadraticModel(np.zeros(n), 0.0, np.zeros(n), np.eye(n))
+
+
+class TestDimensionChecks:
+    """Every conversion raises ``DimensionMismatchError`` for an object of
+    the wrong size for the frame (``d = 2`` in R^3)."""
+
+    @pytest.mark.parametrize("call", [
+        lambda frame: restrict(np.ones(4), frame),
+        lambda frame: restrict(np.eye(4), frame),
+        lambda frame: restrict(_zero_model(4), frame),
+        lambda frame: lift_simplex(np.ones(3), frame),
+        lambda frame: lift_simplex(np.eye(3), frame),
+        lambda frame: lift_mn(ModelResult(
+            _zero_model(3), GradientFamily(np.zeros(3), np.zeros((3, 0))),
+            "mn",
+        ), frame),
+        lambda frame: coincidence_check(_zero_model(3), _zero_model(3),
+                                        frame),
+        lambda frame: hat_directions(np.ones((4, 1)), frame),
+    ], ids=["restrict vector", "restrict matrix", "restrict model",
+            "lift_simplex vector", "lift_simplex matrix", "sub result",
+            "coincidence_check", "hat_directions"])
+    def test_wrong_size_raises(self, call):
+        with pytest.raises(DimensionMismatchError):
+            call(axis_frame())

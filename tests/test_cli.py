@@ -213,6 +213,21 @@ class TestFitCommand:
             main(["fit", "--kind", "warp"])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize("kind,option", [("lfu", "--href"),
+                                             ("qgsd", "--function")])
+    def test_kind_without_its_option_exits_1(self, square_file, tmp_path,
+                                             capsys, kind, option):
+        infile = square_file
+        if kind == "qgsd":
+            infile = str(tmp_path / "bundle.json")
+            io.save_bundle(infile, DirectionBundle(np.eye(3), np.eye(3)))
+        out = tmp_path / "x.json"
+        code = main(["fit", "--kind", kind, "--in", infile,
+                     "--out", str(out)])
+        assert code == 1
+        assert f"--kind {kind} needs {option}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSubspaceCommands:
     def test_detect(self, square_file, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Lifts hold their Hessian as factors ``(Q, Hhat, Href)``: the array they
-materialize keeps its bits, the factored products agree with the dense
-ones to rounding, and no ``n x n`` array is built on the way through
-lift, save, load and restrict."""
+materialize is ``sym(Q M Q^T) + Href`` by its bits, the factored products
+agree with the dense ones to rounding, and no ``n x n`` array is built on
+the way through lift, save, load and restrict."""
 
 import tracemalloc
 
@@ -27,11 +27,10 @@ from subquad.models import (
     ModelResult,
     QuadraticModel,
     dense_reference,
+    evaluate,
     fit_lfu,
     fit_mfn,
     fit_mn,
-    lifted_hessian,
-    reference_correction,
     restricted_reference,
 )
 
@@ -111,14 +110,22 @@ def _dense(result):
     )
 
 
+def _correction(href, basis):
+    """``Href - P Href P`` with ``P = Q Q^T``, as a dense array."""
+    href = dense_reference(href)
+    return href - basis @ (basis.T @ href @ basis) @ basis.T
+
+
 def _expected_hessian(sub, frame, href):
-    """The lifted Hessian from the dense expression, with no factor."""
-    correction = None
-    if href is not None:
-        correction = reference_correction(
-            linalg.sym_part(dense_reference(href)), frame.Q
-        )
-    return lifted_hessian(frame.Q, sub.model.H, correction)
+    """The lifted Hessian ``sym(Q M Q^T) + Href``, ``M = sym(Hhat) -
+    sym(Q^T Href Q)``, from dense arrays with no factor."""
+    q = frame.Q
+    middle = linalg.sym_part(sub.model.H)
+    if href is None:
+        return linalg.sym_part(q @ middle @ q.T)
+    held = linalg.sym_part(dense_reference(href))
+    middle = middle - linalg.sym_part(q.T @ held @ q)
+    return linalg.sym_part(q @ middle @ q.T) + held
 
 
 def _bits(arr):
@@ -127,7 +134,9 @@ def _bits(arr):
 
 class TestMaterializedBits:
     """``model.H`` of a lift, in memory and loaded from its file, has the
-    bits of :func:`lifted_hessian` on the lift's inputs."""
+    bits of ``sym(Q M Q^T) + Href`` on the lift's inputs; without a
+    reference, or with a zero one, those of ``sym(Q Hhat Q^T)`` as
+    before the factors."""
 
     @pytest.mark.parametrize("anchored", [True, False])
     @pytest.mark.parametrize("kind,spec", [
@@ -140,6 +149,10 @@ class TestMaterializedBits:
         assert lift.model.factored is not None
         want = _bits(_expected_hessian(sub, frame, href))
         np.testing.assert_array_equal(_bits(lift.model.H), want)
+        if spec in (None, "zero"):
+            np.testing.assert_array_equal(
+                want, _bits(linalg.sym_part(frame.Q @ sub.model.H @ frame.Q.T))
+            )
         assert lift.model.H is lift.model.H  # materialized once
         path = tmp_path / "lift.json"
         io.save_model(str(path), lift)
@@ -158,6 +171,47 @@ class TestMaterializedBits:
             )
         _, lift, _, _ = _lift("lfu", rng, 30, 3, "dense", True)
         assert lift.reference_hessian.shape == (30, 30)
+
+
+class TestOneHessianInterface:
+    """``QuadraticModel``'s values operation is the one path to a model's
+    values, for an array Hessian and for a factored one with no, a
+    diagonal and a dense reference: ``evaluate`` is its one-row case, and
+    ``coincidence_check``'s unit complement probes are one more row set."""
+
+    HELD = ("array", "no reference", "diagonal", "dense")
+
+    @staticmethod
+    def _pair(held, seed):
+        """``(lift, sub, frame)``: a lift holding its Hessian as ``held``
+        says, of a subspace fit anchored off the frame origin."""
+        rng = np.random.default_rng(seed)
+        kind = "lfu" if held in ("diagonal", "dense") else "mfn"
+        sub, lift, frame, _ = _lift(kind, rng, 40, 3, held, False)
+        if held == "array":
+            lift = _dense(lift)
+        assert (lift.model.factored is None) == (held == "array")
+        return lift, sub, frame
+
+    @pytest.mark.parametrize("held", HELD)
+    def test_evaluate_is_the_one_row_case(self, held):
+        lift, sub, _ = self._pair(held, 504)
+        rng = np.random.default_rng(505)
+        for model in (lift.model, sub.model):
+            for point in model.x0 + rng.standard_normal((4, model.n)):
+                want = model.values(point[None])[0]
+                assert _bits(evaluate(model, point)) == _bits(want)
+                assert _bits(model(point)) == _bits(want)
+
+    @pytest.mark.parametrize("held", HELD)
+    def test_complement_probes_are_values(self, held):
+        lift, sub, frame = self._pair(held, 506)
+        report = coincidence_check(lift, sub, frame, probes=5, seed=3)
+        want = np.abs(lift.model.values(frame.x0 + frame.complement.T)
+                      - sub.model.values(np.zeros((1, frame.d)))[0])
+        np.testing.assert_array_equal(
+            _bits(report.complement_probe_gaps), _bits(want)
+        )
 
 
 def _bound(n, *scales):
@@ -190,7 +244,7 @@ class TestFactoredAgreesWithDense:
         h_scale = np.linalg.norm(sub.model.H)
         if href is not None:
             h_scale += np.linalg.norm(href)
-            want = np.linalg.norm(reference_correction(
+            want = np.linalg.norm(_correction(
                 dense.reference_hessian, frame.Q
             )) > CORRECTION_TOL * np.linalg.norm(dense.reference_hessian)
             assert lift.correction_applied is bool(want)
@@ -252,11 +306,11 @@ class TestFrobeniusGaps:
         got += hess.distances(basis, (hess.project(basis),))
         pairs = list(zip(got, (
             scale, np.linalg.norm(dense - other @ inner @ other.T),
-            np.linalg.norm(reference_correction(dense, basis)),
+            np.linalg.norm(_correction(dense, basis)),
         )))
         if href is not None:
             pairs.append((hess.correction_norm(), np.linalg.norm(
-                reference_correction(dense_reference(hess.href), basis)
+                _correction(hess.href, basis)
             )))
         for got, want in pairs:
             assert abs(got - want) <= _bound(n, scale)

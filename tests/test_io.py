@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import axis_frame, unit_square_set
 from reference_writer import reference_dumps, reference_read_array
-from subquad import io, linalg
+from subquad import io, linalg, models
 from subquad.bridge import lift_lfu, lift_mfn, lift_mn, restrict
 from subquad.cli import main
 from subquad.errors import (
@@ -31,6 +31,7 @@ from subquad.geometry import SampleSet, detect_subspace, hat_sampleset
 from subquad.models import (
     FactoredHessian,
     GradientFamily,
+    ModelResult,
     QuadraticModel,
     _reference_fit,
     dense_reference,
@@ -850,10 +851,57 @@ def _dumped(result):
 
 
 class TestOneReferenceForm:
-    """Every reference Hessian enters through ``held_reference``: an
-    asymmetric one raises ``NotSquareError`` wherever it enters, and a
-    diagonal given as ``v`` or as ``np.diag(v)`` gives the same bytes on
-    every path."""
+    """Every reference Hessian enters through ``held_reference``, once on
+    each path: an asymmetric one raises ``NotSquareError`` wherever it
+    enters, a hand-built ``ModelResult`` included, and a diagonal given as
+    ``v`` or as ``np.diag(v)`` gives the same bytes on every path."""
+
+    def test_hand_built_result_holds_its_reference(self, tmp_path):
+        """An asymmetric reference stops at ``ModelResult``, before
+        ``restrict`` or ``save_model`` could take it, and ``np.eye(n)`` is
+        held, and written, as the vector of its diagonal."""
+        n = 6
+        fitted = fit_lfu(_subspace_instance(n, 2)[0], np.eye(n))
+        parts = (fitted.model, fitted.gradients, "lfu")
+        with pytest.raises(NotSquareError):
+            ModelResult(*parts, reference_hessian=_asymmetric_identity(n))
+        result = ModelResult(*parts, reference_hessian=np.eye(n))
+        np.testing.assert_array_equal(result.reference_hessian, np.ones(n))
+        assert _dumped(result) == _dumped(fitted)
+        path = tmp_path / "model.json"
+        io.save_model(str(path), result)
+        assert json.loads(path.read_text())["href"] == {"diagonal": [1] * n}
+        _assert_same_model(io.load_model(str(path)), result)
+
+    def test_each_path_checks_a_reference_once(self, monkeypatch, tmp_path):
+        n, d = 6, 2
+        full, href = _subspace_instance(n, d)
+        frame = detect_subspace(full)
+        hatted = hat_sampleset(full, frame)
+        calls = []
+        held_reference = models.held_reference
+        monkeypatch.setattr(models, "held_reference", lambda *args: (
+            calls.append(args) or held_reference(*args)
+        ))
+
+        def once(run):
+            calls.clear()
+            result = run()
+            assert len(calls) == 1
+            return result
+
+        fitted = once(lambda: fit_lfu(full, href))
+        once(lambda: _reference_fit("lfu", full, href))
+        sub = once(lambda: fit_lfu(hatted, restricted_reference(href,
+                                                                frame.Q)))
+        lift = once(lambda: lift_lfu(sub, frame, href))
+        assert lift.reference_hessian is lift.model.factored.href
+        path = tmp_path / "model.json"
+        for result in (fitted, sub, lift):
+            if result is not sub:
+                once(lambda: restrict(result, frame))
+            io.save_model(str(path), result)
+            once(lambda: io.load_model(str(path)))
 
     def test_asymmetric_reference_raises_everywhere(self, tmp_path):
         """The subspace fit uses ``Q^T sym(Href) Q``, so only the

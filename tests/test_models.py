@@ -97,6 +97,15 @@ class TestEvaluate:
         x = np.array([0.3, -0.2, 0.0])
         assert model(x) == pytest.approx(evaluate(model, x))
 
+    def test_point_shape(self, square):
+        """A point broadcasts against ``x0`` (a scalar stands for every
+        entry); any other shape raises ``DimensionMismatchError``."""
+        model = fit_mfn(square).model
+        assert model(0.5) == model(np.full(3, 0.5))
+        for bad in (np.zeros(4), np.zeros((1, 3)), np.zeros((3, 1))):
+            with pytest.raises(DimensionMismatchError):
+                model(bad)
+
 
 class TestDeterminedFit:
     def test_univariate_parabola(self):
