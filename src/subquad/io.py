@@ -8,6 +8,15 @@ is a non-empty list or tuple of floats, from a format string built with one
 vectorized test of which entries are integral; the bytes match
 ``format_real`` applied element by element.
 
+Every loader reads its file through :func:`read_document`, which decodes
+the bytes with ``orjson``: the same float64 bits as the ``json`` module,
+for these 17 digits and for ``repr`` text alike, at a fraction of the
+cost. Text that is not strict JSON (invalid UTF-8, ``NaN``, a number
+beyond the double range) or that nests deeper than ``MAX_NESTING`` raises
+:class:`FileFormatError`. The writer is unchanged but for strings that
+hold a lone surrogate, whose escape ``orjson`` refuses (see
+:func:`_quote`).
+
 A model's gradient ambiguity is written in the form its
 :class:`~subquad.models.GradientFamily` holds: an explicit basis as an
 array, an implicit one as ``{"lifted": E, "complement_of": K}`` (about half
@@ -39,6 +48,7 @@ import csv
 import json
 
 import numpy as np
+import orjson
 
 from .errors import FileFormatError
 from .geometry import SampleSet, SubspaceFrame
@@ -106,6 +116,20 @@ def _float_rows(block: np.ndarray) -> list:
 _FLOATS = (float, np.floating)
 
 
+def _quote(text: str) -> str:
+    """A JSON string literal of ``text`` that ``read_document`` reads back.
+    A lone surrogate has no UTF-8 form and ``orjson`` refuses its
+    ``\\uXXXX`` escape. Python holds a byte of a path that is not UTF-8 as
+    one, and that byte is written as the text ``\\xNN``; in a string with
+    any other lone surrogate, each one is written as the text
+    ``\\uXXXX``. Every other string keeps its bytes."""
+    try:
+        raw = text.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        raw = text.encode("utf-8", "backslashreplace")
+    return json.dumps(raw.decode("utf-8", "backslashreplace"))
+
+
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with 17-significant-digit reals."""
     pad = "  " * indent
@@ -114,7 +138,7 @@ def dumps(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(key))}: {dumps(val, indent + 1)}"
+            f"{inner}{_quote(str(key))}: {dumps(val, indent + 1)}"
             for key, val in obj.items()
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
@@ -136,7 +160,7 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_real(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     raise FileFormatError(f"cannot serialize object of type {type(obj)!r}")
 
 
@@ -146,11 +170,38 @@ def write_document(path, obj) -> None:
         handle.write("\n")
 
 
+#: The deepest nesting of arrays and objects :func:`read_document` decodes.
+#: ``orjson`` recurses on the C stack without a limit and kills the process
+#: from about 50,000 nested objects; the files this module writes nest at
+#: most four deep.
+MAX_NESTING = 1000
+
+
+def _nests_too_deep(data: bytes) -> bool:
+    """Whether the brackets of JSON text ``data`` nest deeper than
+    ``MAX_NESTING``. Brackets inside strings count too, so the test errs
+    toward refusing; a text with at most ``MAX_NESTING`` opening brackets
+    is passed after one vectorized count."""
+    codes = np.frombuffer(data, np.uint8) | 32  # "[" -> "{", "]" -> "}"
+    opens = codes == ord("{")
+    if np.count_nonzero(opens) <= MAX_NESTING:
+        return False
+    brackets = opens | (codes == ord("}"))
+    depth = np.cumsum(np.where(opens[brackets], 1, -1))
+    return int(depth.max()) > MAX_NESTING
+
+
 def read_document(path) -> dict:
+    """The top-level object of a JSON file, decoded by ``orjson``."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if _nests_too_deep(data):
+        raise FileFormatError(
+            f"{path}: nested deeper than {MAX_NESTING} levels"
+        )
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: expected a top-level object")

@@ -8,6 +8,7 @@ failure.
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,69 @@ class TestFileRoundTrips:
         path.write_text(json.dumps({"n": 3, "x0": [0, 0, 0]}))
         with pytest.raises(FileFormatError):
             io.load_sampleset(str(path))
+
+
+#: Byte edits that make a valid file malformed: ``(file, old, new)`` with
+#: ``file`` the sample set ``subspace detect`` reads or the model
+#: ``subspace restrict`` reads.
+MALFORMED = {
+    "invalid utf-8": ("samples", b'"n"', b'"config": "\xff", "n"'),
+    "100,000 open arrays": ("samples", b'"x0": ', b'"x0": ' + b"[" * 100_000),
+    "100,000 nested objects": (
+        "samples", b'"n"',
+        b'"config": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_000
+        + b', "n"',
+    ),
+    "huge integer constant": ("model", b'"c": 0.0', b'"c": 1' + b"0" * 400),
+    "huge integer in x0": ("samples", b'"x0": [', b'"x0": [1' + b"0" * 400
+                           + b", "),
+    "constant beyond the double range": ("model", b'"c": 0.0', b'"c": 1e400'),
+}
+
+
+class TestMalformedDocuments:
+    """Text that is not strict JSON ends in ``FileFormatError`` and exit
+    code 1 with one ``error:`` line, never a traceback or a crash."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_1(self, square_file, frame_file, tmp_path, capsys, name):
+        target, old, new = MALFORMED[name]
+        model_file = str(tmp_path / "model.json")
+        io.save_model(model_file, fit_mfn(unit_square_set()))
+        path = square_file if target == "samples" else model_file
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert data.count(old) == 1
+        with open(path, "wb") as handle:
+            handle.write(data.replace(old, new))
+        out = str(tmp_path / "out.json")
+        argv = (["subspace", "detect", "--in", path] if target == "samples"
+                else ["subspace", "restrict", "--model", path,
+                      "--frame", frame_file])
+        assert main(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs a file name that is not UTF-8")
+    def test_written_files_stay_readable(self, tmp_path, capsys):
+        """A path with the byte 0xff is held with a lone surrogate; the
+        frame that records it in ``config`` reads back."""
+        infile = str(tmp_path / os.fsdecode(b"full\xff.json"))
+        io.save_sampleset(infile, unit_square_set())
+        frame = str(tmp_path / "frame.json")
+        model = str(tmp_path / "model.json")
+        assert main(["subspace", "detect", "--in", infile,
+                     "--out", frame]) == 0
+        assert main(["fit", "--kind", "mfn", "--in", infile,
+                     "--out", model]) == 0
+        assert main(["subspace", "restrict", "--model", model,
+                     "--frame", frame,
+                     "--out", str(tmp_path / "restricted.json")]) == 0
+        config = io.read_document(frame)["config"]
+        assert config["in"] == str(tmp_path / r"full\xff.json")
+        assert "error" not in capsys.readouterr().err
 
 
 class TestFitCommand:

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -190,6 +190,46 @@ class TestGoldenBytes:
         assert io.dumps(doc) == reference_dumps(doc)
 
 
+class TestStrings:
+    """Keys and strings with a lone surrogate are written so that the
+    reader takes them back; every other string keeps its text."""
+
+    @pytest.mark.parametrize("text, read", [
+        ("plain", "plain"),
+        ("\u00e9\U0001f600\t\"", "\u00e9\U0001f600\t\""),
+        ("full\udcff.json", "full\\xff.json"),
+        ("a\ud800\udcff", "a\\ud800\\udcff"),
+    ])
+    def test_written_strings_read_back(self, tmp_path, text, read):
+        path = str(tmp_path / "doc.json")
+        io.write_document(path, {text: [text]})
+        assert io.read_document(path) == {read: [read]}
+
+
+class TestNesting:
+    """``read_document`` decodes text nested ``MAX_NESTING`` deep and
+    refuses deeper text before decoding it; many shallow brackets pass."""
+
+    @pytest.mark.parametrize("depth", [io.MAX_NESTING, io.MAX_NESTING + 1])
+    def test_limit(self, tmp_path, depth):
+        path = tmp_path / "deep.json"
+        inner = depth - 1  # arrays inside the top-level object
+        shallow = "[], " * io.MAX_NESTING  # past the one-count pass
+        path.write_text(
+            '{"a": ' + "[" * inner + "]" * inner + f', "b": [{shallow}[]]}}'
+        )
+        if depth <= io.MAX_NESTING:
+            assert "a" in io.read_document(str(path))
+        else:
+            with pytest.raises(FileFormatError, match="nested deeper"):
+                io.read_document(str(path))
+
+    def test_many_shallow_brackets(self, tmp_path):
+        path = tmp_path / "rows.json"
+        io.write_document(str(path), {"rows": np.ones((5000, 2))})
+        assert len(io.read_document(str(path))["rows"]) == 5000
+
+
 def _lifted_mfn(n=300, d=4, m=10, seed=5):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, d)))
@@ -220,6 +260,30 @@ class TestRoundTrip:
         back = np.array(json.loads(io.dumps(arr)))
         assert back.dtype == np.float64 and back.shape == arr.shape
         np.testing.assert_array_equal(_bits(back), _bits(arr))
+
+    @given(st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64))
+    ).filter(np.isfinite))
+    @example(-0.0)
+    @example(5e-324)
+    @example(-1.2345678901234e-310)
+    @example(-2.2250738585072014e-308)
+    @example(1.7976931348623157e308)
+    @example(-1.7976931348623157e308)
+    @example(99999999999999984.0)
+    @example(1e17)
+    @settings(max_examples=300, deadline=None)
+    def test_any_double_reads_back_bit_exactly(self, tmp_path_factory,
+                                               value):
+        """``read_document`` returns the bits of every finite double, as
+        ``dumps`` writes it and as its ``repr`` (what other tools write)."""
+        path = tmp_path_factory.mktemp("real") / "real.json"
+        text = io.dumps({"scalar": value, "row": np.array([value, value])})
+        path.write_text(f'{text[:-1]}, "repr": {value!r}}}', encoding="utf-8")
+        doc = io.read_document(str(path))
+        want = _bits(value)
+        for got in (doc["scalar"], *doc["row"], doc["repr"]):
+            assert type(got) is float and _bits(got) == want
 
     def test_lifted_mfn_n300(self, tmp_path):
         result = _lifted_mfn()
