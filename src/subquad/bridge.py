@@ -17,10 +17,10 @@ A lift's Hessian is a :class:`~subquad.models.FactoredHessian` ``(Q, Hhat,
 Href)``, and ``Href`` may be held as the vector of its diagonal, as
 ``--href 0`` and ``I<n>`` are. ``restrict`` and ``coincidence_check`` read a
 model's Hessian only through the operations of
-:class:`~subquad.models.QuadraticModel` (values at a set of points,
-``sym(H) x``, ``B^T H B`` and Frobenius distances), so they never ask how
-it is held; for a lift those cost ``O(n d^2)`` per vector and never build
-the ``n x n`` array.
+:class:`~subquad.models.QuadraticModel` (values at a set of points or one
+unit step along each complement direction, ``sym(H) x``, ``B^T H B`` and
+Frobenius distances), so they never ask how it is held; for a lift those
+cost ``O(n d^2)`` per vector and never build the ``n x n`` array.
 
 A subspace model anchored at ``xhat0`` lifts to a model anchored at
 ``x0 + Q xhat0``, and ``restrict`` re-anchors a full-space model at the
@@ -354,12 +354,19 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
     complement basis vector is always included and reported separately.
     Deterministic for a given seed.
 
-    Every probe comes from one ``(probes, d + n - d)`` draw, the stream
-    of a per-probe ``d``-then-``(n - d)`` draw. The subspace, on-subspace,
-    off-subspace and unit complement probes are each one row set valued by
-    :meth:`~subquad.models.QuadraticModel.values`, and the three Frobenius
-    gaps come from one ``distances`` call. A probe value that is not
-    finite raises :class:`NonFiniteError`.
+    The complement is the frame's
+    :attr:`~subquad.geometry.SubspaceFrame.complement_factors`, ``C = (E -
+    Y Z) diag(s)`` from the Householder reflectors of ``Q``; no SVD runs
+    and no ``n x (n - d)`` array is formed. Every probe comes from one
+    ``(probes, d + n - d)`` draw, the stream of a per-probe
+    ``d``-then-``(n - d)`` draw, and an off-subspace probe with
+    coefficients ``c`` moves ``C c = E (s c) - Y (Z (s c))`` off the
+    subspace. The subspace, on-subspace and off-subspace probes are each
+    one row set valued by :meth:`~subquad.models.QuadraticModel.values`,
+    the unit complement probes are valued from the factors by
+    :meth:`~subquad.models.QuadraticModel.complement_values`, and the
+    three Frobenius gaps come from one ``distances`` call. A probe value
+    that is not finite raises :class:`NonFiniteError`.
     """
     full_model = _unwrap_model(full)
     sub_model = _unwrap_model(sub)
@@ -376,8 +383,8 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
     else:
         probe_scale = 1.0
     rng = np.random.default_rng(seed)
-    complement = frame.complement
-    n_comp = complement.shape[1]
+    complement = frame.complement_factors
+    n_comp = frame.n - frame.d
     count = max(int(probes), 0)
 
     draws = probe_scale * rng.standard_normal((count, frame.d + n_comp))
@@ -387,8 +394,10 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
         sub_values = sub_model.values(xhat)
         base_value = sub_model(np.zeros(frame.d))
         on_values = full_model.values(on_subspace)
-        off_values = full_model.values(on_subspace + coeffs @ complement.T)
-        comp_values = full_model.values(frame.x0 + complement.T)
+        off_values = full_model.values(
+            on_subspace + complement.combine(coeffs)
+        )
+        comp_values = full_model.complement_values(frame.x0, complement)
         values = (sub_values, base_value, on_values, off_values, comp_values)
         if not all(np.isfinite(part).all() for part in values):
             raise NonFiniteError(

@@ -267,9 +267,15 @@ class SubspaceFrame:
         return self.Q.shape[1]
 
     @cached_property
+    def complement_factors(self) -> linalg.Complement:
+        """``col(Q)^perp`` held as Householder factors, ``O(n d^2)``."""
+        return linalg._complement_factors(self.Q)
+
+    @cached_property
     def complement(self) -> np.ndarray:
-        """Orthonormal basis of ``col(Q)^perp`` (shape ``(n, n - d)``)."""
-        return linalg.orthonormal_complement(self.Q)
+        """Orthonormal basis of ``col(Q)^perp`` (shape ``(n, n - d)``), the
+        columns of :attr:`complement_factors`."""
+        return self.complement_factors.dense()
 
 
 def detect_subspace(sample_set: SampleSet,

@@ -160,13 +160,14 @@ class SuiteResult:
         return self.failures == 0
 
     def gap_histogram(self) -> dict:
-        """Counts of trial gaps per decade (keys like '1e-12..1e-11')."""
+        """Counts of trial gaps per decade (keys like '1e-12..1e-11'), with
+        keys ``"0"``, ``"inf"`` and ``"nan"`` for the gaps outside them."""
         counts: dict[str, int] = {}
         for rec in self.records:
             if rec.gap <= 0.0:
                 key = "0"
             elif not np.isfinite(rec.gap):
-                key = "inf"
+                key = "nan" if np.isnan(rec.gap) else "inf"
             else:
                 exp = int(np.floor(np.log10(rec.gap)))
                 key = f"1e{exp}..1e{exp + 1}"

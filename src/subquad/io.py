@@ -165,9 +165,11 @@ def dumps(obj, indent: int = 0) -> str:
 
 
 def write_document(path, obj) -> None:
+    """Write ``obj`` as JSON text. The text is rendered before the file is
+    opened, so a value :func:`dumps` refuses leaves the file untouched."""
+    text = dumps(obj) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(obj))
-        handle.write("\n")
+        handle.write(text)
 
 
 #: The deepest nesting of arrays and objects :func:`read_document` decodes.
@@ -564,6 +566,11 @@ def save_report(path, report, config: dict | None = None) -> None:
     write_document(path, doc)
 
 
+def _nonfinite_gap(gap: float) -> str:
+    """How a gap that is not finite is written: ``"nan"`` or ``"inf"``."""
+    return "nan" if np.isnan(gap) else "inf"
+
+
 def suite_rows(result) -> list[dict]:
     return [
         {
@@ -573,7 +580,8 @@ def suite_rows(result) -> list[dict]:
             "d": rec.d,
             "m": rec.m,
             "function_class": rec.function_class,
-            "gap": format_real(rec.gap) if np.isfinite(rec.gap) else "inf",
+            "gap": format_real(rec.gap) if np.isfinite(rec.gap)
+            else _nonfinite_gap(rec.gap),
             "passed": rec.passed,
             "detail": rec.detail,
         }
@@ -599,7 +607,8 @@ def suite_summary(result) -> dict:
         "theorem": result.theorem,
         "trials": result.trials,
         "failures": result.failures,
-        "max_gap": result.max_gap,
+        "max_gap": result.max_gap if np.isfinite(result.max_gap)
+        else _nonfinite_gap(result.max_gap),
         "tol": result.tol,
         "seed": result.seed,
         "passed": result.passed,

@@ -6,15 +6,18 @@ package is made by :func:`numerical_rank`, a relative singular-value cutoff
 (``sigma > rank_tol * sigma_max``) with ``rank_tol`` defaulting to
 ``max(shape) * machine_eps``. The column-space basis and the pseudoinverse
 solves share one thin, rank-truncated SVD, so no factorization builds a
-``cols x cols`` factor; only :func:`orthonormal_complement` takes a full
-SVD, of a ``d x n`` basis. Outputs of the factorization routines are made
-deterministic by a sign convention: in each returned orthonormal column the
-entry of largest magnitude (first such entry on ties) is nonnegative.
+``cols x cols`` factor. The orthogonal complement of an ``n x d`` basis
+is held as the ``d`` Householder reflectors of its QR factorization (see
+:class:`Complement`), so it costs ``O(n d^2)`` until its columns are
+formed. Outputs of the factorization routines are made deterministic by a
+sign convention: in each returned orthonormal column the entry of largest
+magnitude (first such entry on ties) is nonnegative.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +31,11 @@ from .errors import (
 EPS = float(np.finfo(float).eps)
 
 _SQRT2 = float(np.sqrt(2.0))
+
+#: Magnitude above which a unit column's entry is its largest by a margin
+#: no rounding closes: every other entry is below ``sqrt(1 - 0.75^2) =
+#: 0.66``.
+_SURE_LARGEST = 0.75
 
 #: Frobenius-norm tolerance on ``Q.T @ Q - I`` accepted as "orthonormal".
 #: The Frobenius norm bounds the spectral norm from above and costs no SVD.
@@ -133,12 +141,94 @@ def orthonormal_columns(a, rank_tol: float | None = None):
     return _fix_column_signs(left), rank
 
 
+@dataclass(frozen=True)
+class Complement:
+    """Orthonormal basis ``C`` of ``col(Q)^perp`` for an orthonormal
+    ``n x d`` ``Q``, held as factors.
+
+    With the Householder QR ``Q = H_1 ... H_d [R; 0]``, ``C`` is ``H_1 ...
+    H_d [0; I]`` with its column signs fixed. In the compact WY form
+    ``H_1 ... H_d = I - Y T Y^T`` (Schreiber and Van Loan, SIAM J. Sci.
+    Stat. Comput. 10(1), 1989) that is ``C = (E - Y Z) diag(signs)`` for
+    ``E = [0; I]``, the unit lower trapezoidal reflectors ``Y``
+    (``reflectors``, ``n x d``) and ``Z = T Y[d:]^T`` (``mixing``, ``d x
+    (n - d)``). Products with ``C`` cost ``O(n d)`` per vector; only
+    :meth:`dense` forms the ``n x (n - d)`` array.
+    """
+
+    reflectors: np.ndarray
+    mixing: np.ndarray
+    signs: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The ``n x (n - d)`` array ``C``."""
+        basis = self.reflectors @ self.mixing
+        np.subtract(0.0, basis, out=basis)  # -(Y Z) with no -0.0 entry
+        n, d = self.reflectors.shape
+        basis[np.arange(d, n), np.arange(n - d)] += 1.0
+        basis *= self.signs
+        return basis
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """``C^T x`` for a length-``n`` vector ``x``."""
+        d = self.reflectors.shape[1]
+        return self.signs * (x[d:] - (x @ self.reflectors) @ self.mixing)
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """``coeffs @ C^T``: the vector ``C c`` for each row ``c`` of a
+        ``k x (n - d)`` ``coeffs``."""
+        scaled = coeffs * self.signs
+        out = -((scaled @ self.mixing.T) @ self.reflectors.T)
+        out[:, self.reflectors.shape[1]:] += scaled
+        return out
+
+
+def _complement_factors(basis: np.ndarray) -> Complement:
+    """The :class:`Complement` of ``col(basis)``, for a finite ``n x d``
+    array with orthonormal columns: :func:`orthonormal_complement` and
+    :class:`~subquad.geometry.SubspaceFrame` check that first.
+
+    ``Z`` comes from the triangular inverse ``T^-1 = diag(1 / tau) +
+    striu(Y^T Y)``, with a reflector of ``tau = 0`` (the identity) dropped
+    from ``Y``. Column ``j`` takes its sign from its entry ``d + j`` when
+    that exceeds ``_SURE_LARGEST`` in magnitude, which makes it the
+    largest; only the other columns are formed. The factors cost ``O(n
+    d^2)`` plus ``O(n d)`` per column formed, and for large ``n`` none is.
+    """
+    d = basis.shape[1]
+    packed, tau = np.linalg.qr(basis, mode="raw")
+    reflectors = np.tril(packed.T, -1)
+    np.fill_diagonal(reflectors, 1.0)
+    if not tau.all():  # an identity reflector drops out of Y and T
+        reflectors[:, tau == 0.0] = 0.0
+        tau = np.where(tau == 0.0, 1.0, tau)
+    inverse = np.triu(reflectors.T @ reflectors, 1)
+    np.fill_diagonal(inverse, 1.0 / tau)
+    mixing = np.linalg.solve(inverse, reflectors[d:].T)
+    # entry d + j of column j, then the columns it does not settle
+    corner = 1.0 - np.einsum("ij,ji->i", reflectors[d:], mixing)
+    signs = np.where(corner < 0.0, -1.0, 1.0)
+    unsure = np.flatnonzero(np.abs(corner) <= _SURE_LARGEST)
+    if unsure.size:
+        picked = np.arange(unsure.size)
+        # Y Z - E on those columns: the columns, negated
+        negated = reflectors @ mixing[:, unsure]
+        negated[d + unsure, picked] -= 1.0
+        largest = negated[np.argmax(np.abs(negated), axis=0), picked]
+        signs[unsure] = np.where(largest > 0.0, -1.0, 1.0)
+    return Complement(reflectors, mixing, signs)
+
+
 def orthonormal_complement(q) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``col(q)``.
 
     ``q`` must already have orthonormal columns (checked to
-    ``ORTHONORMALITY_TOL`` in the Frobenius norm). The result has
-    ``n - d`` columns and is deterministic for a given input.
+    ``ORTHONORMALITY_TOL`` in the Frobenius norm). The result is the
+    :class:`Complement` of ``col(q)`` formed with one product: ``n - d``
+    columns, deterministic for a given input. Where LAPACK's ``dgesdd``
+    takes its LQ path (``n >= floor(11 d / 6)``) it is, up to rounding,
+    the basis the last ``n - d`` right singular vectors of ``q^T`` give
+    under the same sign rule.
     """
     basis = as_matrix(q, "orthonormal_complement argument")
     n, d = basis.shape
@@ -146,16 +236,12 @@ def orthonormal_complement(q) -> np.ndarray:
         raise NotOrthonormalError(
             f"{d} columns in dimension {n} cannot be orthonormal"
         )
-    if d == 0:
-        return np.eye(n)
     defect = np.linalg.norm(basis.T @ basis - np.eye(d))
     if defect > ORTHONORMALITY_TOL:
         raise NotOrthonormalError(
             f"columns are not orthonormal (||Q.T Q - I||_F = {defect:.3e})"
         )
-    # Rows d..n of V.T in the full SVD of Q.T span null(Q.T) = col(Q)^perp.
-    _, _, vt = np.linalg.svd(basis.T, full_matrices=True)
-    return _fix_column_signs(vt[d:, :].T)
+    return _complement_factors(basis).dense()
 
 
 def minnorm_lstsq(a, b, rank_tol: float | None = None) -> np.ndarray:

@@ -37,8 +37,10 @@ one of the caller's values by more than ``feas_tol * max(1, max |values|)``.
 A :class:`QuadraticModel` holds its Hessian as an ``n x n`` array (every fit
 returns one) or as a :class:`FactoredHessian` ``(Q, Hhat, Href)`` (every
 subspace lift and every lift file loaded), and only its own operations
-(values, ``s^T H s``, ``sym(H) x``, ``B^T H B``, ``||H - B A B^T||_F``) ask
-which; ``model.H`` materializes the array on first read and keeps it.
+(values, among them the values one unit step along each column of a
+:class:`~subquad.linalg.Complement`, ``s^T H s``, ``sym(H) x``, ``B^T H
+B``, ``||H - B A B^T||_F``) ask which; ``model.H`` materializes the array
+on first read and keeps it.
 """
 
 from __future__ import annotations
@@ -210,11 +212,21 @@ class FactoredHessian:
         return lifted + dense_reference(self.href)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """``H @ x`` for a vector ``x``."""
+        """``H @ x`` for a vector or an ``n x k`` matrix ``x``."""
         out = self.basis @ (self.middle @ (self.basis.T @ x))
         href = self.href
+        if href is not None and href.ndim == 1:
+            out += href.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        elif href is not None:
+            out += href @ x
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of ``H``, ``O(n d^2)``."""
+        out = np.sum((self.basis @ self.middle) * self.basis, axis=1)
+        href = self.href
         if href is not None:
-            out += href * x if href.ndim == 1 else href @ x
+            out += href if href.ndim == 1 else np.diagonal(href)
         return out
 
     def curvature(self, steps: np.ndarray) -> np.ndarray:
@@ -333,6 +345,37 @@ class QuadraticModel:
         if self.factored is not None:
             return self.factored.curvature(steps)
         return np.sum((steps @ self.H.T) * steps, axis=1)
+
+    def complement_values(self, origin: np.ndarray,
+                          complement: linalg.Complement) -> np.ndarray:
+        """The model's values at ``origin + c_j`` for every column ``c_j``
+        of ``C = (E - Y Z) diag(s)``, read from ``complement``'s factors.
+
+        That is ``m(origin) + C^T h + diag(C^T H C) / 2`` for the gradient
+        ``h`` at ``origin``, and with ``A = sym(H)`` the diagonal is
+        ``A[d + j, d + j] - 2 (A Y)[d + j] . Z[:, j] + Z[:, j]^T (Y^T A Y)
+        Z[:, j]``. It costs ``O(n d^2)`` for a factored Hessian with no
+        reference or a diagonal one, and ``O(n^2 d)`` with a dense one or
+        for an array.
+        """
+        reflectors, mixing = complement.reflectors, complement.mixing
+        d = reflectors.shape[1]
+        if self.factored is not None:
+            diagonal = self.factored.diagonal()
+            sandwich = self.factored.dot(reflectors)
+        else:
+            diagonal = np.diagonal(self.H)
+            sandwich = 0.5 * (self.H @ reflectors + (reflectors.T @ self.H).T)
+        inner = (reflectors.T @ sandwich) @ mixing
+        curvature = (
+            diagonal[d:] - 2.0 * np.einsum("ij,ji->i", sandwich[d:], mixing)
+            + np.einsum("ij,ij->j", mixing, inner)
+        )
+        step = origin - self.x0
+        slope = self.g + self.sym_dot(step)
+        # m(origin) = c + s.g + s.sym(H) s / 2 = c + s.(g + slope) / 2
+        base = self.c + 0.5 * (step @ (self.g + slope))
+        return base + complement.coordinates(slope) + 0.5 * curvature
 
     def sym_dot(self, x: np.ndarray) -> np.ndarray:
         """``sym(H) x`` for a vector ``x``."""

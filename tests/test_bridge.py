@@ -172,6 +172,14 @@ class TestLeastChangeLift:
         with pytest.raises(ReferenceMismatchError):
             lift_lfu(sub, frame, href)
 
+    def test_subspace_fit_without_reference_rejected(self):
+        square, frame = unit_square_set(), axis_frame()
+        sub = fit_lfu(hat_sampleset(square, frame), np.eye(2))
+        bare = ModelResult(sub.model, sub.gradients, "lfu")
+        assert bare.reference_hessian is None
+        with pytest.raises(ReferenceMismatchError, match="no reference"):
+            lift_lfu(bare, frame, np.eye(3))
+
     def test_worked_example(self):
         square, frame = unit_square_set(), axis_frame()
         sub = fit_lfu(hat_sampleset(square, frame), np.eye(2))

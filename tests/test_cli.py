@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import axis_frame, unit_square_set
-from subquad import cli, io
+from subquad import cli, harness, io, models
 from subquad.cli import main
 from subquad.errors import FileFormatError
 from subquad.geometry import SampleSet, SubspaceFrame, hat_sampleset
@@ -369,6 +369,39 @@ class TestSubspaceCommands:
         assert code == 2
         assert "NonFiniteError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["mn", "dqi"])
+    def test_lift_mn_and_dqi(self, frame_file, tmp_path, kind):
+        """Both lift as minimum-norm models: ``|x|^2`` on the six points
+        of a poised set in the plane lifts to ``H = diag(2, 2, 0)``."""
+        dhat = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0],
+                         [0.0, -1.0]])
+        hatted = SampleSet(np.zeros(2), dhat,
+                           np.concatenate([[0.0], np.sum(dhat**2, axis=1)]))
+        fit = models.fit_dqi if kind == "dqi" else models.fit_mn
+        sub_path = str(tmp_path / "sub.json")
+        out = str(tmp_path / "lift.json")
+        io.save_model(sub_path, fit(hatted))
+        assert main(["subspace", "lift", "--model", sub_path,
+                     "--frame", frame_file, "--out", out]) == 0
+        lifted = io.load_model(out)
+        assert lifted.kind == "mn"
+        np.testing.assert_allclose(lifted.model.H, np.diag([2.0, 2.0, 0.0]),
+                                   atol=1e-10)
+        np.testing.assert_allclose(lifted.model.g, 0.0, atol=1e-10)
+
+    def test_lift_qgsd_exits_1(self, frame_file, tmp_path, capsys):
+        bundle_path = str(tmp_path / "bundle.json")
+        io.save_bundle(bundle_path, DirectionBundle(np.eye(3), np.eye(3)))
+        model, out = str(tmp_path / "model.json"), str(tmp_path / "lift.json")
+        assert main(["fit", "--kind", "qgsd", "--function", "sphere",
+                     "--in", bundle_path, "--out", model]) == 0
+        capsys.readouterr()
+        assert main(["subspace", "lift", "--model", model,
+                     "--frame", frame_file, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "qgsd" in err
+        assert not os.path.exists(out)
+
     def test_lift_lfu_without_href_exits_1(self, frame_file, tmp_path):
         square = unit_square_set()
         frame = axis_frame()
@@ -438,6 +471,32 @@ class TestVerifyCommand:
             "verify", "--theorem", "mfn", "--trials", "3", "--tol", "1e-18",
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("gap", ["inf", "nan"])
+    def test_nonfinite_worst_gap_exits_3_with_a_summary(
+        self, monkeypatch, tmp_path, capsys, gap
+    ):
+        """A planted non-finite gap fails its suite and is written as the
+        CSV writes it, ``"inf"`` or ``"nan"``, with its own histogram key."""
+        trial_gsg = harness._TRIALS["gsg"]
+
+        def planted(spec, trial, probes, seed_of):
+            if trial == 0:
+                return float(gap), "planted"
+            return trial_gsg(spec, trial, probes, seed_of)
+
+        monkeypatch.setitem(harness._TRIALS, "gsg", planted)
+        out_dir = tmp_path / "verify"
+        assert main(["verify", "--theorem", "gsg", "--trials", "2",
+                     "--seed", "1", "--out-dir", str(out_dir)]) == 3
+        assert "suite gsg: FAIL" in capsys.readouterr().out
+        summary = io.read_document(str(out_dir / "summary.json"))
+        suite = summary["suites"][0]
+        assert summary["all_passed"] is False
+        assert suite["max_gap"] == gap and suite["failures"] == 1
+        assert suite["gap_histogram"][gap] == 1
+        rows = (out_dir / "suite_gsg.csv").read_text().splitlines()
+        assert rows[1].split(",")[6:8] == [gap, "False"]
 
     def test_unknown_theorem_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -207,11 +207,62 @@ class TestOneHessianInterface:
     def test_complement_probes_are_values(self, held):
         lift, sub, frame = self._pair(held, 506)
         report = coincidence_check(lift, sub, frame, probes=5, seed=3)
-        want = np.abs(lift.model.values(frame.x0 + frame.complement.T)
+        points = frame.x0 + frame.complement.T
+        want = np.abs(lift.model.values(points)
                       - sub.model.values(np.zeros((1, frame.d)))[0])
-        np.testing.assert_array_equal(
-            _bits(report.complement_probe_gaps), _bits(want)
+        np.testing.assert_allclose(
+            report.complement_probe_gaps, want, rtol=0,
+            atol=_ulps(lift.model, points),
         )
+
+
+def _ulps(model, points):
+    """A few ulps of the terms ``|c|``, ``|g| |s|`` and ``|H|_F |s|^2``
+    that the model's value at the farthest of ``points`` is summed from."""
+    step = np.max(np.linalg.norm(points - model.x0, axis=1))
+    hess = (model.hessian if model.factored is None
+            else model.factored.dense())
+    return 8.0 * EPS * (abs(model.c) + np.linalg.norm(model.g) * step
+                        + np.linalg.norm(hess) * step ** 2)
+
+
+class TestComplementFactors:
+    """The Householder complement ``C = (E - Y Z) diag(s)`` of a random
+    orthonormal ``Q``, with ``n >= d + 1``, is orthonormal, orthogonal to
+    ``Q`` and sign-fixed; the unit probes valued from its factors are the
+    values at ``x0 + C^T`` within a few ulps, for an array Hessian and a
+    factored one with no, a diagonal and a dense reference, with the
+    model anchored at the frame's ``x0`` and off it."""
+
+    @given(
+        held=st.sampled_from(TestOneHessianInterface.HELD),
+        anchored=st.booleans(),
+        n=st.integers(min_value=2, max_value=40),
+        d=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, held, anchored, n, d, seed):
+        d = min(d, n - 1)
+        rng = np.random.default_rng(seed)
+        kind = "lfu" if held in ("diagonal", "dense") else "mfn"
+        _, lift, frame, _ = _lift(kind, rng, n, d, held, anchored)
+        if held == "array":
+            lift = _dense(lift)
+        assert np.array_equal(lift.model.x0, frame.x0) is anchored
+
+        comp = frame.complement
+        assert comp.shape == (n, n - d)
+        assert np.max(np.abs(comp.T @ comp - np.eye(n - d))) <= 8 * n * EPS
+        assert np.max(np.abs(frame.Q.T @ comp)) <= 8 * n * EPS
+        largest = comp[np.argmax(np.abs(comp), axis=0), np.arange(n - d)]
+        assert (largest >= 0.0).all()
+
+        model = lift.model
+        points = frame.x0 + comp.T
+        got = model.complement_values(frame.x0, frame.complement_factors)
+        np.testing.assert_allclose(got, model.values(points), rtol=0,
+                                   atol=_ulps(model, points))
 
 
 def _bound(n, *scales):
@@ -317,8 +368,8 @@ class TestFrobeniusGaps:
 
 
 class TestNoSquareArray:
-    """Lift, save, load and restrict at ``n = 2000`` allocate no array of
-    ``n^2`` floats: the traced peak stays below one such array."""
+    """Lift, save, load, restrict and compare at ``n = 2000`` allocate no
+    array of ``n^2`` floats: the traced peak stays below one such array."""
 
     N = 2000
 
@@ -362,6 +413,24 @@ class TestNoSquareArray:
             io.save_model(str(tmp_path / "restrict.json"), back)
 
         assert self._peak(run) < 8 * self.N ** 2
+
+    def test_compare(self, files, tmp_path):
+        """``subspace compare`` of the lfu lift values its unit complement
+        probes from the Householder factors: the ``n x (n - d)`` complement
+        alone would be about ``8 n^2`` bytes."""
+        lift, report = str(tmp_path / "lift.json"), str(tmp_path / "r.json")
+        assert main(["subspace", "lift", "--model", files["lfu"],
+                     "--frame", files["frame"], "--out", lift,
+                     "--href", "I2000"]) == 0
+
+        def run():
+            assert main(["subspace", "compare", "--full", lift,
+                         "--sub", files["lfu"], "--frame", files["frame"],
+                         "--out", report]) == 0
+
+        assert self._peak(run) < 8 * self.N ** 2
+        gaps = io.read_document(report)["complement_probe_gaps"]
+        assert len(gaps) == self.N - 6
 
     def test_cli_path(self, files, tmp_path):
         lift, back = str(tmp_path / "lift.json"), str(tmp_path / "back.json")

@@ -190,6 +190,17 @@ class TestGoldenBytes:
         assert io.dumps(doc) == reference_dumps(doc)
 
 
+def test_failed_write_keeps_the_file(tmp_path):
+    """The text is rendered before the file is opened: a value ``dumps``
+    refuses leaves the file it would replace byte for byte."""
+    path = tmp_path / "doc.json"
+    io.write_document(str(path), {"gap": 1.5, "rows": np.eye(2)})
+    before = path.read_bytes()
+    with pytest.raises(FileFormatError, match="non-finite"):
+        io.write_document(str(path), {"gap": float("nan")})
+    assert path.read_bytes() == before
+
+
 class TestStrings:
     """Keys and strings with a lone surrogate are written so that the
     reader takes them back; every other string keeps its text."""
@@ -326,6 +337,10 @@ def _valid_documents(tmp_path):
     return files
 
 
+#: The value that stands for a key taken out of a document.
+_DROP = object()
+
+
 def _rewrite(path, key, value):
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc[key] = value
@@ -426,6 +441,55 @@ class TestTypedLoaderErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("sampleset", None, [1.0, 2.0]),
+        ("sampleset", "x0", [0.0, 0.0]),
+        ("model", "kind", "zzz"),
+        ("model", "g", [0.0, 0.0]),
+        ("model", "href", [[1.0, 0.0], [0.0, 1.0]]),
+        ("frame", "Q", [[1.0], [0.0], [0.0]]),
+        ("frame", "dhat", [[1.0], [0.0], [1.0]]),
+        ("bundle", "S", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        ("bundle", "T_list", [[[1.0], [0.0], [0.0]]] * 3),
+        ("bundle", "T", _DROP),
+        ("bundle", "x0", [0.0, 0.0]),
+        ("href", None, {"n": 2, "H": [[1.0, 0.0], [0.0, 1.0]]}),
+    ], ids=["top-level array", "sample-set x0", "model kind", "model g",
+            "href shape", "frame Q", "dhat columns", "bundle S rows",
+            "bundle T and T_list", "bundle neither", "bundle x0",
+            "href file order"])
+    def test_cli_reports_bad_shapes(self, tmp_path, capsys, name, key,
+                                    value):
+        """Each loader's shape checks end in exit 1 with one ``error:``
+        line through the command that reads that file."""
+        documents = _valid_documents(tmp_path)
+        files = {kind: str(path) for kind, (path, _) in documents.items()}
+        path = documents[name][0]
+        if key is None:
+            path.write_text(json.dumps(value), encoding="utf-8")
+        elif value is _DROP:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            del doc[key]
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            _rewrite(path, key, value)
+        out = str(tmp_path / "out.json")
+        argv = {
+            "sampleset": ["subspace", "detect", "--in", files["sampleset"]],
+            "model": ["subspace", "restrict", "--model", files["model"],
+                      "--frame", files["frame"]],
+            "frame": ["subspace", "restrict", "--model", files["model"],
+                      "--frame", files["frame"]],
+            "bundle": ["fit", "--kind", "qgsd", "--function", "sphere",
+                       "--in", files["bundle"]],
+            "href": ["fit", "--kind", "lfu", "--href", files["href"],
+                     "--in", files["sampleset"]],
+        }[name]
+        assert main(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not os.path.exists(out)
 
     def test_cli_reports_bool_constant(self, tmp_path, capsys):
         files = _valid_documents(tmp_path)

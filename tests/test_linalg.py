@@ -106,6 +106,24 @@ class TestComplement:
         comp = linalg.orthonormal_complement(np.eye(3))
         assert comp.shape == (3, 0)
 
+    def test_coordinate_basis(self):
+        """Columns that are coordinate vectors need no reflection
+        (``tau = 0``); the complement is the other coordinate vectors."""
+        comp = linalg.orthonormal_complement(np.eye(5)[:, :2])
+        np.testing.assert_array_equal(comp, np.eye(5)[:, 2:])
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (11, 6), (40, 3), (300, 6)])
+    def test_svd_basis_on_the_lq_path(self, n, d):
+        """Where LAPACK's ``dgesdd`` takes its LQ path, ``n >= floor(11 d /
+        6)``, the Householder complement is, to rounding, the sign-fixed
+        last ``n - d`` right singular vectors of ``Q^T``."""
+        rng = np.random.default_rng(n + d)
+        q, _ = linalg.orthonormal_columns(rng.standard_normal((n, d)))
+        _, _, vt = np.linalg.svd(q.T, full_matrices=True)
+        np.testing.assert_allclose(linalg.orthonormal_complement(q),
+                                   fix_signs_loop(vt[d:].T), rtol=0,
+                                   atol=1e-14)
+
     def test_rejects_skewed_basis(self):
         from subquad.errors import NotOrthonormalError
 
