@@ -36,7 +36,7 @@ value that is not finite raises :class:`~subquad.errors.NonFiniteError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .errors import (
     NonFiniteError,
     NotInSubspaceError,
     ReferenceMismatchError,
+    SpecInfeasibleError,
     VariantPreconditionError,
 )
 from .geometry import SubspaceFrame, _span_coordinates
@@ -92,20 +93,10 @@ class ConversionReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "gradient_gap": float(self.gradient_gap),
-            "hessian_gap": float(self.hessian_gap),
-            "subspace_value_gap": float(self.subspace_value_gap),
-            "orthogonal_value_gap": float(self.orthogonal_value_gap),
-            "correction_applied": bool(self.correction_applied),
-            "complement_probe_gaps": [
-                float(v) for v in self.complement_probe_gaps
-            ],
-            "value_scale": float(self.value_scale),
-            "probe_scale": float(self.probe_scale),
-            "probes": int(self.probes),
-            "seed": int(self.seed),
-        }
+        """The fields in order, the probe gaps as a list."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["complement_probe_gaps"] = list(self.complement_probe_gaps)
+        return doc
 
 
 def _check_sub_result(sub: ModelResult, frame: SubspaceFrame, kinds):
@@ -352,21 +343,20 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
     subspace (``subspace_value_gap``) and off it
     (``orthogonal_value_gap``). One deterministic unit probe per
     complement basis vector is always included and reported separately.
-    Deterministic for a given seed.
+    Deterministic for a given seed; ``probes < 0`` raises
+    :class:`SpecInfeasibleError`.
 
-    The complement is the frame's
-    :attr:`~subquad.geometry.SubspaceFrame.complement_factors`, ``C = (E -
-    Y Z) diag(s)`` from the Householder reflectors of ``Q``; no SVD runs
-    and no ``n x (n - d)`` array is formed. Every probe comes from one
-    ``(probes, d + n - d)`` draw, the stream of a per-probe
+    The complement ``C`` is the frame's
+    :attr:`~subquad.geometry.SubspaceFrame.complement_factors`; no SVD
+    runs and no ``n x (n - d)`` array is formed. Every probe comes from
+    one ``(probes, d + n - d)`` draw, the stream of a per-probe
     ``d``-then-``(n - d)`` draw, and an off-subspace probe with
-    coefficients ``c`` moves ``C c = E (s c) - Y (Z (s c))`` off the
-    subspace. The subspace, on-subspace and off-subspace probes are each
-    one row set valued by :meth:`~subquad.models.QuadraticModel.values`,
-    the unit complement probes are valued from the factors by
-    :meth:`~subquad.models.QuadraticModel.complement_values`, and the
-    three Frobenius gaps come from one ``distances`` call. A probe value
-    that is not finite raises :class:`NonFiniteError`.
+    coefficients ``c`` moves ``C c`` off the subspace. The subspace,
+    on-subspace and off-subspace probes are each one row set valued by
+    :meth:`~subquad.models.QuadraticModel.values`, the unit complement
+    probes by :meth:`~subquad.models.QuadraticModel.complement_values`,
+    and the three Frobenius gaps come from one ``distances`` call. A probe
+    value that is not finite raises :class:`NonFiniteError`.
     """
     full_model = _unwrap_model(full)
     sub_model = _unwrap_model(sub)
@@ -382,12 +372,13 @@ def coincidence_check(full, sub, frame: SubspaceFrame,
         probe_scale = max(probe_scale, 1e-8)
     else:
         probe_scale = 1.0
+    if int(probes) < 0:
+        raise SpecInfeasibleError(f"need probes >= 0, got {probes}")
     rng = np.random.default_rng(seed)
     complement = frame.complement_factors
     n_comp = frame.n - frame.d
-    count = max(int(probes), 0)
 
-    draws = probe_scale * rng.standard_normal((count, frame.d + n_comp))
+    draws = probe_scale * rng.standard_normal((int(probes), frame.d + n_comp))
     xhat, coeffs = draws[:, :frame.d], draws[:, frame.d:]
     on_subspace = frame.x0 + xhat @ frame.Q.T
     with np.errstate(over="ignore", invalid="ignore"):

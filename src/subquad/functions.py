@@ -142,7 +142,7 @@ def make_function(spec: str, n: int):
 
     ``sphere`` is the squared norm; ``quad:SEED``, ``cubic:SEED`` and
     ``trig:SEED`` draw a seeded random member of the class (seed optional,
-    defaulting to 0).
+    defaulting to 0; a negative one raises :class:`FileFormatError`).
     """
     name, _, seed_text = spec.partition(":")
     name = name.strip().lower()
@@ -161,5 +161,7 @@ def make_function(spec: str, n: int):
         seed = int(seed_text) if seed_text else 0
     except ValueError as exc:
         raise FileFormatError(f"bad function seed {seed_text!r}") from exc
+    if seed < 0:
+        raise FileFormatError(f"function seed {seed} is negative")
     rng = np.random.default_rng(seed)
     return random_function(aliases[name], n, rng)

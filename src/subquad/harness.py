@@ -87,8 +87,6 @@ VERIFY_TOL = 1e-8
 #: other trial keeps its draw.
 STENCIL_CONDITION_MAX = VERIFY_TOL / (64 * linalg.EPS)
 
-_SEED_MASK = (1 << 31) - 1
-
 
 @dataclass(frozen=True)
 class InstanceSpec:
@@ -176,14 +174,18 @@ class SuiteResult:
 
 
 def child_seed(seed: int, *path) -> int:
-    """Stable per-trial seed derived from a master seed and a label path."""
-    entropy = [int(seed) & _SEED_MASK]
-    for part in path:
-        if isinstance(part, str):
-            entropy.append(zlib.crc32(part.encode()))
-        else:
-            entropy.append(int(part) & _SEED_MASK)
-    sequence = np.random.SeedSequence(entropy)
+    """Stable per-trial seed derived from a master seed and a label path.
+
+    Strings enter as their CRC-32, a non-negative integer as it is and a
+    negative one as its residue modulo ``2**64``, so distinct non-negative
+    master seeds run distinct trials."""
+    entropy = [int(seed)] + [
+        zlib.crc32(part.encode()) if isinstance(part, str) else int(part)
+        for part in path
+    ]
+    sequence = np.random.SeedSequence(
+        [word if word >= 0 else word % 2**64 for word in entropy]
+    )
     return int(sequence.generate_state(1, np.uint64)[0])
 
 

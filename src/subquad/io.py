@@ -8,6 +8,9 @@ is a non-empty list or tuple of floats, from a format string built with one
 vectorized test of which entries are integral; the bytes match
 ``format_real`` applied element by element.
 
+Every JSON writer goes through :func:`write_document`, which records a
+non-empty ``config`` (the CLI's command and arguments) as the last field.
+
 Every loader reads its file through :func:`read_document`, which decodes
 the bytes with ``orjson``: the same float64 bits as the ``json`` module,
 for these 17 digits and for ``repr`` text alike, at a fraction of the
@@ -164,9 +167,12 @@ def dumps(obj, indent: int = 0) -> str:
     raise FileFormatError(f"cannot serialize object of type {type(obj)!r}")
 
 
-def write_document(path, obj) -> None:
-    """Write ``obj`` as JSON text. The text is rendered before the file is
-    opened, so a value :func:`dumps` refuses leaves the file untouched."""
+def write_document(path, obj, config: dict | None = None) -> None:
+    """Write ``obj`` as JSON text, with a non-empty ``config`` as its last
+    field. The text is rendered before the file is opened, so a value
+    :func:`dumps` refuses leaves the file untouched."""
+    if config:
+        obj = {**obj, "config": config}
     text = dumps(obj) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -223,6 +229,13 @@ def _need_int(doc: dict, key: str, path="document") -> int:
     return value
 
 
+def _known_fields(value: dict, fields, name, path):
+    """Raise unless every key of the object ``value`` is in ``fields``."""
+    unknown = sorted(set(value) - set(fields))
+    if unknown:
+        raise FileFormatError(f"{path}: unknown {name} fields {unknown}")
+
+
 def _as_array(value, name, path="document") -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -235,20 +248,24 @@ def _as_array(value, name, path="document") -> np.ndarray:
     return arr
 
 
+def _basis_rows(value, name, n, path) -> np.ndarray:
+    basis = _as_array(value, name, path)
+    if basis.ndim != 2 or basis.shape[0] != n:
+        raise FileFormatError(f"{path}: {name} must have {n} rows")
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # sample sets
 
 
-def sampleset_to_dict(sample_set: SampleSet, config: dict | None = None):
-    doc = {
+def sampleset_to_dict(sample_set: SampleSet) -> dict:
+    return {
         "n": sample_set.n,
         "x0": sample_set.x0,
         "displacements": sample_set.displacements,
         "values": sample_set.values,
     }
-    if config:
-        doc["config"] = config
-    return doc
 
 
 def load_sampleset(path) -> SampleSet:
@@ -271,27 +288,18 @@ def load_sampleset(path) -> SampleSet:
 
 def save_sampleset(path, sample_set: SampleSet,
                    config: dict | None = None) -> None:
-    write_document(path, sampleset_to_dict(sample_set, config))
+    write_document(path, sampleset_to_dict(sample_set), config)
 
 
 # ---------------------------------------------------------------------------
 # models
 
 
-def _basis_rows(value, name, n, path) -> np.ndarray:
-    basis = _as_array(value, name, path)
-    if basis.ndim != 2 or basis.shape[0] != n:
-        raise FileFormatError(f"{path}: {name} must have {n} rows")
-    return basis
-
-
 def _factored_hessian(value: dict, kind: str, href, n: int, path):
     """The :class:`FactoredHessian` of a factored ``"H"``: ``Q`` with ``n``
     rows, a square ``Hhat`` of its column count, and the file's ``href``
     for least-change models."""
-    unknown = sorted(set(value) - {"lifted", "basis"})
-    if unknown:
-        raise FileFormatError(f"{path}: unknown H fields {unknown}")
+    _known_fields(value, ("lifted", "basis"), "H", path)
     basis = _basis_rows(_need(value, "basis", path), "H.basis", n, path)
     core = _as_array(_need(value, "lifted", path), "H.lifted", path)
     k = basis.shape[1]
@@ -312,16 +320,14 @@ def _reference_hessian(value, n: int, path) -> np.ndarray:
         if href.shape != (n, n):
             raise FileFormatError(f"{path}: href must be {n} x {n}")
         return href
-    unknown = sorted(set(value) - {"diagonal"})
-    if unknown:
-        raise FileFormatError(f"{path}: unknown href fields {unknown}")
+    _known_fields(value, ("diagonal",), "href", path)
     diagonal = _as_array(_need(value, "diagonal", path), "href.diagonal", path)
     if diagonal.shape != (n,):
         raise FileFormatError(f"{path}: href.diagonal must have length {n}")
     return diagonal
 
 
-def model_to_dict(result: ModelResult, config: dict | None = None):
+def model_to_dict(result: ModelResult) -> dict:
     model = result.model
     doc = {
         "kind": result.kind,
@@ -350,14 +356,12 @@ def model_to_dict(result: ModelResult, config: dict | None = None):
         doc["href"] = {"diagonal": href} if href.ndim == 1 else href
     if result.correction_applied is not None:
         doc["correction_applied"] = bool(result.correction_applied)
-    if config:
-        doc["config"] = config
     return doc
 
 
 def save_model(path, result: ModelResult,
                config: dict | None = None) -> None:
-    write_document(path, model_to_dict(result, config))
+    write_document(path, model_to_dict(result), config)
 
 
 def load_model(path) -> ModelResult:
@@ -394,11 +398,8 @@ def load_model(path) -> ModelResult:
     ambiguity = doc.get("ambiguity_basis", np.zeros((n, 0)))
     kernel = None
     if isinstance(ambiguity, dict):
-        unknown = sorted(set(ambiguity) - {"lifted", "complement_of"})
-        if unknown:
-            raise FileFormatError(
-                f"{path}: unknown ambiguity_basis fields {unknown}"
-            )
+        _known_fields(ambiguity, ("lifted", "complement_of"),
+                      "ambiguity_basis", path)
         explicit = _basis_rows(_need(ambiguity, "lifted", path),
                                "ambiguity_basis.lifted", n, path)
         kernel = _need(ambiguity, "complement_of", path)
@@ -429,7 +430,7 @@ def load_model(path) -> ModelResult:
 # frames
 
 
-def frame_to_dict(frame: SubspaceFrame, config: dict | None = None):
+def frame_to_dict(frame: SubspaceFrame) -> dict:
     doc = {
         "n": frame.n,
         "d": frame.d,
@@ -438,14 +439,12 @@ def frame_to_dict(frame: SubspaceFrame, config: dict | None = None):
     }
     if frame.dhat is not None:
         doc["dhat"] = frame.dhat
-    if config:
-        doc["config"] = config
     return doc
 
 
 def save_frame(path, frame: SubspaceFrame,
                config: dict | None = None) -> None:
-    write_document(path, frame_to_dict(frame, config))
+    write_document(path, frame_to_dict(frame), config)
 
 
 def load_frame(path) -> SubspaceFrame:
@@ -479,20 +478,11 @@ def load_bundle(path) -> tuple[DirectionBundle, np.ndarray]:
     """
     doc = read_document(path)
     n = _need_int(doc, "n", path)
-    outer = _as_array(_need(doc, "S", path), "S", path)
-    if outer.ndim != 2 or outer.shape[0] != n:
-        raise FileFormatError(f"{path}: S must have {n} rows")
+    outer = _basis_rows(_need(doc, "S", path), "S", n, path)
     if "T" in doc and "T_list" in doc:
         raise FileFormatError(f"{path}: give either T or T_list, not both")
-
-    def inner(value, name):
-        block = _as_array(value, name, path)
-        if block.ndim != 2 or block.shape[0] != n:
-            raise FileFormatError(f"{path}: {name} must be 2-D with {n} rows")
-        return block
-
     if "T" in doc:
-        bundle = DirectionBundle(outer, inner(doc["T"], "T"))
+        bundle = DirectionBundle(outer, _basis_rows(doc["T"], "T", n, path))
     elif "T_list" in doc:
         blocks = doc["T_list"]
         if not isinstance(blocks, list) or len(blocks) != outer.shape[1]:
@@ -501,7 +491,8 @@ def load_bundle(path) -> tuple[DirectionBundle, np.ndarray]:
                 "one per column of S"
             )
         bundle = DirectionBundle(outer, [
-            inner(block, f"T_list[{i}]") for i, block in enumerate(blocks)
+            _basis_rows(block, f"T_list[{i}]", n, path)
+            for i, block in enumerate(blocks)
         ])
     else:
         raise FileFormatError(f"{path}: missing inner directions (T/T_list)")
@@ -522,9 +513,7 @@ def save_bundle(path, bundle: DirectionBundle, x0=None,
         doc["T_list"] = [np.asarray(b) for b in bundle.blocks]
     if x0 is not None:
         doc["x0"] = np.asarray(x0, dtype=float)
-    if config:
-        doc["config"] = config
-    write_document(path, doc)
+    write_document(path, doc, config)
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +549,7 @@ def load_reference(spec: str, n: int) -> np.ndarray:
 
 
 def save_report(path, report, config: dict | None = None) -> None:
-    doc = report.to_dict()
-    if config:
-        doc["config"] = config
-    write_document(path, doc)
+    write_document(path, report.to_dict(), config)
 
 
 def _nonfinite_gap(gap: float) -> str:
@@ -617,8 +603,6 @@ def suite_summary(result) -> dict:
 
 
 def save_suite_summary(path, results, config: dict | None = None) -> None:
-    doc = {"suites": [suite_summary(r) for r in results]}
-    doc["all_passed"] = all(r.passed for r in results)
-    if config:
-        doc["config"] = config
-    write_document(path, doc)
+    doc = {"suites": [suite_summary(r) for r in results],
+           "all_passed": all(r.passed for r in results)}
+    write_document(path, doc, config)

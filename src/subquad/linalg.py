@@ -6,12 +6,14 @@ package is made by :func:`numerical_rank`, a relative singular-value cutoff
 (``sigma > rank_tol * sigma_max``) with ``rank_tol`` defaulting to
 ``max(shape) * machine_eps``. The column-space basis and the pseudoinverse
 solves share one thin, rank-truncated SVD, so no factorization builds a
-``cols x cols`` factor. The orthogonal complement of an ``n x d`` basis
-is held as the ``d`` Householder reflectors of its QR factorization (see
-:class:`Complement`), so it costs ``O(n d^2)`` until its columns are
-formed. Outputs of the factorization routines are made deterministic by a
-sign convention: in each returned orthonormal column the entry of largest
-magnitude (first such entry on ties) is nonnegative.
+``cols x cols`` factor. The orthogonal complement ``C`` of an ``n x d``
+basis is held as the ``d`` Householder reflectors of its QR factorization
+(see :class:`Complement`), so it costs ``O(n d^2)`` until its columns are
+formed; only :class:`Complement` reads that layout, and it gives ``C^T
+x``, ``C c`` and ``diag(C^T A C)`` (from ``diag(A)`` and ``X -> A X``)
+without them. Outputs of the factorization routines are made
+deterministic by a sign convention: in each returned orthonormal column
+the entry of largest magnitude (first such entry on ties) is nonnegative.
 """
 
 from __future__ import annotations
@@ -173,6 +175,20 @@ class Complement:
         """``C^T x`` for a length-``n`` vector ``x``."""
         d = self.reflectors.shape[1]
         return self.signs * (x[d:] - (x @ self.reflectors) @ self.mixing)
+
+    def curvature(self, diagonal: np.ndarray, product) -> np.ndarray:
+        """``diag(C^T A C)`` for a symmetric ``n x n`` ``A`` given by its
+        ``diagonal`` and by ``product``, ``X -> A X`` for an ``n x d``
+        ``X``: entry ``j`` is ``A[d + j, d + j] - 2 (A Y)[d + j] . Z[:, j]
+        + Z[:, j]^T (Y^T A Y) Z[:, j]``, from one product with ``Y``."""
+        reflectors, mixing = self.reflectors, self.mixing
+        d = reflectors.shape[1]
+        sandwich = product(reflectors)
+        inner = (reflectors.T @ sandwich) @ mixing
+        return (
+            diagonal[d:] - 2.0 * np.einsum("ij,ji->i", sandwich[d:], mixing)
+            + np.einsum("ij,ij->j", mixing, inner)
+        )
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         """``coeffs @ C^T``: the vector ``C c`` for each row ``c`` of a

@@ -349,28 +349,19 @@ class QuadraticModel:
     def complement_values(self, origin: np.ndarray,
                           complement: linalg.Complement) -> np.ndarray:
         """The model's values at ``origin + c_j`` for every column ``c_j``
-        of ``C = (E - Y Z) diag(s)``, read from ``complement``'s factors.
+        of ``complement``'s ``C``.
 
         That is ``m(origin) + C^T h + diag(C^T H C) / 2`` for the gradient
-        ``h`` at ``origin``, and with ``A = sym(H)`` the diagonal is
-        ``A[d + j, d + j] - 2 (A Y)[d + j] . Z[:, j] + Z[:, j]^T (Y^T A Y)
-        Z[:, j]``. It costs ``O(n d^2)`` for a factored Hessian with no
-        reference or a diagonal one, and ``O(n^2 d)`` with a dense one or
-        for an array.
+        ``h`` at ``origin``, with the diagonal from ``diag(H)`` and
+        :meth:`sym_dot` on ``d`` columns. It costs ``O(n d^2)`` for a
+        factored Hessian with no reference or a diagonal one, and ``O(n^2
+        d)`` with a dense one or for an array.
         """
-        reflectors, mixing = complement.reflectors, complement.mixing
-        d = reflectors.shape[1]
         if self.factored is not None:
             diagonal = self.factored.diagonal()
-            sandwich = self.factored.dot(reflectors)
         else:
             diagonal = np.diagonal(self.H)
-            sandwich = 0.5 * (self.H @ reflectors + (reflectors.T @ self.H).T)
-        inner = (reflectors.T @ sandwich) @ mixing
-        curvature = (
-            diagonal[d:] - 2.0 * np.einsum("ij,ji->i", sandwich[d:], mixing)
-            + np.einsum("ij,ij->j", mixing, inner)
-        )
+        curvature = complement.curvature(diagonal, self.sym_dot)
         step = origin - self.x0
         slope = self.g + self.sym_dot(step)
         # m(origin) = c + s.g + s.sym(H) s / 2 = c + s.(g + slope) / 2
@@ -378,10 +369,10 @@ class QuadraticModel:
         return base + complement.coordinates(slope) + 0.5 * curvature
 
     def sym_dot(self, x: np.ndarray) -> np.ndarray:
-        """``sym(H) x`` for a vector ``x``."""
+        """``sym(H) x`` for a vector or an ``n x k`` matrix ``x``."""
         if self.factored is not None:
             return self.factored.dot(x)
-        return 0.5 * (self.H @ x + x @ self.H)
+        return 0.5 * (self.H @ x + (x.T @ self.H).T)
 
     def project(self, basis: np.ndarray) -> np.ndarray:
         """``B^T H B`` for an ``n x k`` basis ``B``."""

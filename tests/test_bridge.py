@@ -6,6 +6,8 @@ of the second to match the first (and the restriction of the first to
 match the second). These are exact identities, so tolerances are tight.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from subquad.errors import (
     NonFiniteError,
     NotInSubspaceError,
     ReferenceMismatchError,
+    SpecInfeasibleError,
     VariantPreconditionError,
 )
 from subquad.geometry import (
@@ -422,6 +425,29 @@ class TestCoincidenceReport:
         a = coincidence_check(lifted.model, sub.model, frame, seed=9)
         b = coincidence_check(lifted.model, sub.model, frame, seed=9)
         assert a.to_dict() == b.to_dict()
+
+    def test_dict_holds_every_field_in_order(self):
+        """The report's fields as Python scalars, the probe gaps as a
+        list: what ``subspace compare`` prints and writes."""
+        square, frame = unit_square_set(), axis_frame()
+        sub = fit_lfu(hat_sampleset(square, frame), np.eye(2))
+        report = coincidence_check(lift_lfu(sub, frame, np.eye(3)), sub,
+                                   frame, probes=3, seed=4)
+        doc = report.to_dict()
+        assert list(doc) == [f.name for f in dataclasses.fields(report)]
+        assert doc["complement_probe_gaps"] == list(
+            report.complement_probe_gaps
+        )
+        assert {type(v) for v in doc.values()} == {float, bool, list, int}
+        assert type(doc["probes"]) is int and doc["probes"] == 3
+
+    def test_negative_probe_count_is_refused(self):
+        """As ``run_suite`` refuses fewer than one trial: a negative count
+        would report itself and draw nothing."""
+        square, frame = unit_square_set(), axis_frame()
+        sub = fit_mfn(hat_sampleset(square, frame))
+        with pytest.raises(SpecInfeasibleError, match="probes >= 0"):
+            coincidence_check(lift_mfn(sub, frame), sub, frame, probes=-3)
 
 
 class TestCorrectionFlagScale:

@@ -9,6 +9,7 @@ failure.
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestFitCommand:
         np.testing.assert_allclose(loaded.model.g, [1, 1, 0], atol=1e-10)
         np.testing.assert_allclose(loaded.model.H, 0.0, atol=1e-10)
         # the effective config travels inside the file
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["config"]["kind"] == "mfn"
 
     def test_lfu_identity_reference(self, square_file, tmp_path):
@@ -292,6 +293,17 @@ class TestFitCommand:
         assert f"--kind {kind} needs {option}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_function_seed_exits_1(self, tmp_path, capsys):
+        infile = str(tmp_path / "bundle.json")
+        io.save_bundle(infile, DirectionBundle(np.eye(3), np.eye(3)))
+        out = tmp_path / "x.json"
+        code = main(["fit", "--kind", "qgsd", "--function", "quad:-3",
+                     "--in", infile, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: function seed -3 is negative\n"
+        assert not out.exists()
+
 
 class TestSubspaceCommands:
     def test_detect(self, square_file, tmp_path, capsys):
@@ -332,7 +344,7 @@ class TestSubspaceCommands:
             "subspace", "compare", "--full", lifted_path, "--sub", sub_path,
             "--frame", frame_file, "--out", report_path,
         ]) == 0
-        doc = json.loads(open(report_path).read())
+        doc = json.loads(Path(report_path).read_text())
         assert doc["subspace_value_gap"] < 1e-10
         assert doc["complement_probe_gaps"][0] == pytest.approx(0.5, abs=1e-12)
 
@@ -424,11 +436,11 @@ class TestVerifyCommand:
         assert code == 0
         assert os.path.exists(os.path.join(out_dir, "suite_mn.csv"))
         summary = json.loads(
-            open(os.path.join(out_dir, "summary.json")).read()
+            Path(out_dir, "summary.json").read_text()
         )
         assert summary["all_passed"] is True
         assert summary["suites"][0]["trials"] == 4
-        lines = open(os.path.join(out_dir, "suite_mn.csv")).read().splitlines()
+        lines = Path(out_dir, "suite_mn.csv").read_text().splitlines()
         assert lines[0].startswith("theorem,trial,n,d,m,function_class,gap")
         assert len(lines) == 5
 

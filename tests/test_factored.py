@@ -215,6 +215,18 @@ class TestOneHessianInterface:
             atol=_ulps(lift.model, points),
         )
 
+    @pytest.mark.parametrize("held", HELD)
+    def test_sym_dot_of_a_matrix_is_its_columns(self, held):
+        """``sym_dot`` of an ``n x k`` matrix is, column by column,
+        ``sym_dot`` of each column, to rounding."""
+        lift, _, _ = self._pair(held, 507)
+        block = np.random.default_rng(508).standard_normal((lift.n, 3))
+        got = lift.model.sym_dot(block)
+        for j in range(3):
+            want = lift.model.sym_dot(np.ascontiguousarray(block[:, j]))
+            np.testing.assert_allclose(got[:, j], want, rtol=1e-12,
+                                       atol=1e-12)
+
 
 def _ulps(model, points):
     """A few ulps of the terms ``|c|``, ``|g| |s|`` and ``|H|_F |s|^2``

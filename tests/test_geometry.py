@@ -15,6 +15,7 @@ from subquad.errors import (
     EmptySetError,
     NonFiniteError,
     NotInSubspaceError,
+    SubquadError,
 )
 from subquad.geometry import (
     DEDUP_RTOL,
@@ -499,3 +500,45 @@ def random_poised(rng, n):
     from conftest import random_poised_set
 
     return random_poised_set(rng, n)
+
+
+def _square_oracle(x):
+    return float(x @ x)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: SubspaceFrame(np.zeros(2), np.eye(3)[:, :1]),
+     DimensionMismatchError, "basis lives in dimension 3"),
+    (lambda: SubspaceFrame(np.zeros(3), np.zeros((3, 0))),
+     DimensionMismatchError, "1..n basis columns"),
+    (lambda: SubspaceFrame(np.zeros(2), np.ones((2, 3))),
+     DimensionMismatchError, "1..n basis columns"),
+    (lambda: SubspaceFrame(np.zeros(3), np.eye(3)[:, :2], np.ones((4, 3))),
+     DimensionMismatchError, "dhat columns"),
+    (lambda: detect_subspace(subspace_set(np.random.default_rng(1), 4, 2, 3),
+                             rank_tol=1.0),
+     EmptySetError, "zero-dimensional"),
+    (lambda: hat_function(FunctionOracle(_square_oracle, dim=4),
+                          SubspaceFrame(np.zeros(3), np.eye(3)[:, :2])),
+     DimensionMismatchError, "oracle dimension 4"),
+    (lambda: hat_sampleset(SampleSet(np.zeros(2), [[1.0, 0.0]], [0.0, 1.0]),
+                           SubspaceFrame(np.zeros(3), np.eye(3)[:, :2])),
+     DimensionMismatchError, "frame dimension 3"),
+], ids=["frame-rows", "frame-0-columns", "frame-wide",
+        "frame-dhat", "detect-rank-tol-1", "hat-function", "hat-sampleset"])
+def test_malformed_inputs_raise(call, error, match):
+    """Every guard on a frame and the hatting maps, each with the typed
+    error its message names; a ``rank_tol`` of 1 or more keeps no
+    direction, so no frame exists."""
+    with pytest.raises(error, match=match):
+        call()
+    assert issubclass(error, SubquadError)
+
+
+def test_oracle_repr_names_the_function_and_count():
+    oracle = FunctionOracle(_square_oracle)
+    oracle(np.ones(2))
+    assert repr(oracle) == "FunctionOracle(_square_oracle, count=1)"
+    assert repr(FunctionOracle(_square_oracle, name="f")) == (
+        "FunctionOracle(f, count=0)"
+    )

@@ -1,6 +1,7 @@
 """Randomized verification harness: determinism, instance quality,
 suite plumbing and the negative controls."""
 
+import zlib
 from functools import partial
 from types import SimpleNamespace
 
@@ -17,6 +18,8 @@ from subquad.harness import (
     SUITES,
     VERIFY_TOL,
     InstanceSpec,
+    SuiteResult,
+    TrialRecord,
     child_seed,
     negative_controls,
     random_instance,
@@ -90,6 +93,22 @@ class TestSeeding:
         a = run_suite("mn", 6, seed=1)
         b = run_suite("mn", 6, seed=2)
         assert [r.gap for r in a.records] != [r.gap for r in b.records]
+
+    @pytest.mark.parametrize("seed", [0, 5, 42, 2**31 - 1])
+    def test_seeds_below_2_31_keep_their_child_seeds(self, seed):
+        """The derivation every recorded run below ``2**31`` used: each
+        integer masked to 31 bits."""
+        mask = (1 << 31) - 1
+        entropy = [seed & mask, zlib.crc32(b"mn"), 3 & mask,
+                   zlib.crc32(b"dims")]
+        want = np.random.SeedSequence(entropy).generate_state(1, np.uint64)
+        assert child_seed(seed, "mn", 3, "dims") == int(want[0])
+
+    def test_seeds_2_31_apart_run_different_trials(self):
+        a = run_suite("mn", 3, seed=5)
+        b = run_suite("mn", 3, seed=5 + 2**31)
+        assert a.records != b.records
+        assert child_seed(-3, "mn") == child_seed(2**64 - 3, "mn")
 
 
 class TestSuites:
@@ -408,3 +427,26 @@ class TestMembershipGap:
         rng = _CountingRng(9)
         harness._family_membership_gap(full, sub, frame, rng)
         assert rng.calls == 1
+
+
+def _record(gap):
+    return TrialRecord("mn", 0, 3, 1, 1, "quadratic", gap, gap <= 1e-8)
+
+
+@pytest.mark.parametrize("call, check", [
+    (lambda: InstanceSpec(n=3, d=1, m=1, function_class="quadratic",
+                          seed=0, rank_floor=1.5),
+     "rank floor must be in"),
+    (lambda: SuiteResult("mn", 3, 1, np.inf, 1e-8, 0, [
+        _record(0.0), _record(-0.0), _record(np.inf),
+    ]).gap_histogram(),
+     {"0": 2, "inf": 1}),
+], ids=["rank-floor", "histogram-zero"])
+def test_spec_floor_and_zero_gaps(call, check):
+    """A rank floor outside ``(0, 1)`` is refused; a gap of zero (either
+    sign) counts under the ``"0"`` key."""
+    if isinstance(check, str):
+        with pytest.raises(SpecInfeasibleError, match=check):
+            call()
+    else:
+        assert call() == check

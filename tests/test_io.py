@@ -1157,3 +1157,37 @@ class TestMalformedCompactForms:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, want", [
+    ({"n": 1, "x0": [0.0], "displacements": [1.0, 2.0],
+      "values": [0.0, 1.0, 4.0]}, [[1.0], [2.0]]),
+    ({"n": 2, "x0": [0.0, 0.0], "displacements": [1.0, 2.0],
+      "values": [0.0, 5.0]}, [[1.0, 2.0]]),
+    (object(), "cannot serialize object of type"),
+], ids=["n-1-column", "one-step-row", "dumps-unsupported"])
+def test_flat_displacements_and_unsupported_types(tmp_path, doc, want):
+    """A flat ``displacements`` list is the column of an ``n = 1`` set or
+    else one step; ``dumps`` refuses a type it has no form for."""
+    if isinstance(want, str):
+        with pytest.raises(FileFormatError, match=want):
+            io.dumps(doc)
+        return
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert np.array_equal(io.load_sampleset(str(path)).displacements, want)
+
+
+def test_config_is_the_last_field(tmp_path):
+    """``write_document`` appends a non-empty ``config`` after the data
+    fields and leaves the caller's document as it was; an empty or
+    missing one writes the data alone."""
+    doc = io.frame_to_dict(axis_frame())
+    path = tmp_path / "frame.json"
+    io.write_document(str(path), doc, {"command": "x"})
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert list(written) == [*doc, "config"]
+    assert written["config"] == {"command": "x"} and "config" not in doc
+    for config in (None, {}):
+        io.save_frame(str(path), axis_frame(), config)
+        assert path.read_text(encoding="utf-8") == io.dumps(doc) + "\n"

@@ -14,6 +14,7 @@ from subquad import linalg
 from subquad.errors import (
     DimensionMismatchError,
     NonFiniteError,
+    NotOrthonormalError,
     NotSquareError,
 )
 
@@ -123,6 +124,19 @@ class TestComplement:
         np.testing.assert_allclose(linalg.orthonormal_complement(q),
                                    fix_signs_loop(vt[d:].T), rtol=0,
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("n,d", [(5, 2), (12, 3), (40, 6)])
+    def test_curvature_is_the_sandwich_diagonal(self, n, d):
+        """``diag(C^T A C)`` from ``diag(A)`` and ``X -> A X`` alone."""
+        rng = np.random.default_rng(n * d)
+        q, _ = linalg.orthonormal_columns(rng.standard_normal((n, d)))
+        raw = rng.standard_normal((n, n))
+        sym = raw + raw.T
+        factors = linalg._complement_factors(q)
+        comp = factors.dense()
+        got = factors.curvature(np.diagonal(sym), lambda x: sym @ x)
+        np.testing.assert_allclose(got, np.diagonal(comp.T @ sym @ comp),
+                                   rtol=0, atol=1e-12)
 
     def test_rejects_skewed_basis(self):
         from subquad.errors import NotOrthonormalError
@@ -317,3 +331,23 @@ def test_sym_part_exact():
 def test_default_rank_tol_scales_with_shape():
     assert linalg.default_rank_tol(10, 3) == pytest.approx(10 * np.finfo(float).eps)
     assert linalg.default_rank_tol(2, 7) == pytest.approx(7 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: linalg.as_matrix(np.ones(3)), DimensionMismatchError,
+     "must be 2-D"),
+    (lambda: linalg.as_vector(np.ones((2, 2))), DimensionMismatchError,
+     "must be 1-D"),
+    (lambda: linalg.as_vector([1.0, np.nan]), NonFiniteError, "NaN or Inf"),
+    (lambda: linalg.sym_part(np.ones((2, 3))), NotSquareError, "square"),
+    (lambda: linalg.orthonormal_columns(np.zeros((3, 0))),
+     DimensionMismatchError, "at least one column"),
+    (lambda: linalg.orthonormal_complement(np.ones((2, 3))),
+     NotOrthonormalError, "3 columns in dimension 2"),
+    (lambda: linalg.pinv_apply(np.eye(2), [1.0, np.nan]), NonFiniteError,
+     "right-hand side"),
+], ids=["as-matrix-1d", "as-vector-2d", "as-vector-nan", "sym-part-wide",
+        "columns-none", "complement-wide", "pinv-nan"])
+def test_malformed_arguments_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

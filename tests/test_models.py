@@ -44,6 +44,7 @@ from subquad.geometry import (
 )
 from subquad.models import (
     SYMMETRY_RTOL,
+    FactoredHessian,
     GradientFamily,
     QuadraticModel,
     _least_change,
@@ -975,3 +976,36 @@ class TestMetamorphicProperties:
             np.testing.assert_array_equal(
                 b.gradients.ambiguity_basis, a.gradients.ambiguity_basis
             )
+
+
+_ONE_FREE = GradientFamily(np.ones(2), np.eye(2)[:, 1:])
+_NONE_FREE = GradientFamily(np.ones(2), np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("call, check", [
+    (lambda: FactoredHessian(np.eye(3)[:, :2], np.eye(3)),
+     (DimensionMismatchError, "subspace Hessian of shape")),
+    (lambda: QuadraticModel(np.zeros(2), np.nan, np.zeros(2), np.eye(2)),
+     (InfeasibleError, "not finite")),
+    (lambda: QuadraticModel(np.zeros(2), 0.0, np.zeros(3), np.eye(2)),
+     (DimensionMismatchError, "inconsistent model dimensions")),
+    (lambda: member(_ONE_FREE, [1.0, 2.0]),
+     (DimensionMismatchError, "expected 1 coefficients, got 2")),
+    (lambda: member(_NONE_FREE, np.zeros(0)),
+     lambda got: np.array_equal(got, np.ones(2))
+     and got is not _NONE_FREE.canonical),
+    (lambda: FactoredHessian(np.eye(3)[:, :2], np.eye(2)).correction_norm(),
+     lambda got: got == 0.0),
+    (lambda: FactoredHessian(np.eye(3)[:, :2], np.eye(2)).restricted,
+     lambda got: got is None),
+], ids=["factored-core", "model-c-nan", "model-dims", "member-count",
+        "member-dim-0", "correction-no-href", "restricted-no-href"])
+def test_guards_and_reference_free_factors(call, check):
+    """Malformed models and coefficients raise the named error; a family
+    with no free direction returns a copy of its canonical member, and a
+    factored Hessian with no reference has no correction."""
+    if isinstance(check, tuple):
+        with pytest.raises(check[0], match=check[1]):
+            call()
+    else:
+        assert check(call())

@@ -15,6 +15,7 @@ import pytest
 
 from subquad import linalg
 from subquad.errors import (
+    DimensionMismatchError,
     DuplicatePointError,
     EmptySetError,
     VariantPreconditionError,
@@ -336,3 +337,17 @@ class TestGradientOrder:
             # rounding, about eps |f| / h, sits far below both misses
             assert misses[1] > 1e3 * linalg.EPS * abs(f(x0)) / 5e-3
             assert 0.9 * order < misses[0] / misses[1] < 1.1 * order
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: DirectionBundle(np.eye(3), [np.eye(3), np.eye(3)]),
+     "2 blocks for 3 columns"),
+    (lambda: StencilEvaluations(
+        np.zeros(2), DirectionBundle(np.eye(3), np.eye(3)), np.sum),
+     "base point dimension 2"),
+    (lambda: gsg(np.zeros(2), np.eye(3), np.sum),
+     "directions live in dimension 3"),
+], ids=["bundle-blocks", "stencil-base", "gsg-dimension"])
+def test_mismatched_dimensions_raise(call, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        call()
